@@ -55,6 +55,11 @@ def parse_labels(text, what="sequence"):
     return seq
 
 
+def check_labels(seq, rank):
+    if any(v > rank for v in seq):
+        raise UsageError(f"sequence label exceeds rank {rank}")
+
+
 def parse_beta(text):
     try:
         beta = tuple(int(p) for p in text.split(","))
@@ -69,10 +74,12 @@ def parse_beta(text):
 
 def cap_kwargs(args):
     out = {}
-    if getattr(args, "deg_cap", None) is not None:
-        out["degree_cap"] = args.deg_cap
-    if getattr(args, "dot_cap", None) is not None:
-        out["dot_cap"] = args.dot_cap
+    for flag, name in (("deg_cap", "degree_cap"), ("dot_cap", "dot_cap")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            if value < 1:
+                raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+            out[name] = value
     return out
 
 
@@ -81,14 +88,16 @@ def get_cache(args):
 
 
 def load_element(args):
-    if args.infile in (None, "-"):
-        data = json.load(sys.stdin)
-    else:
-        try:
+    from_stdin = args.infile in (None, "-")
+    try:
+        if from_stdin:
+            data = json.load(sys.stdin)
+        else:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read element from {args.infile!r}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        source = "stdin" if from_stdin else repr(args.infile)
+        raise UsageError(f"cannot read element from {source}: {exc}") from None
     try:
         return KLRElement.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -205,8 +214,7 @@ def cmd_klr_factor(args):
     if not seq:
         raise UsageError("--seq must name at least one strand")
     rank = args.rank if args.rank is not None else max(seq)
-    if any(v > rank for v in seq):
-        raise UsageError(f"sequence label exceeds rank {rank}")
+    check_labels(seq, rank)
     k = args.blocks if args.blocks is not None else seq.count(rank)
     try:
         terms = factor_general(seq, k, rank)
@@ -251,6 +259,7 @@ def cmd_cyc_gdim(args):
     e = parse_labels(args.seq)
     e2 = parse_labels(args.seq2) if args.seq2 is not None else e
     ctx = make_context(lam, **cap_kwargs(args))
+    check_labels(e + e2, ctx.rank)
     key = ["cyc gdim", list(lam), list(e), list(e2), ctx.degree_cap, ctx.dot_cap]
 
     def compute():
@@ -267,6 +276,7 @@ def cmd_cyc_compare(args):
     e = parse_labels(args.seq)
     e2 = parse_labels(args.seq2) if args.seq2 is not None else e
     ctx = make_context(lam, **cap_kwargs(args))
+    check_labels(e + e2, ctx.rank)
     hw = weight_of_partition(lam).entries
     key = ["cyc compare", list(lam), list(e), list(e2), ctx.degree_cap, ctx.dot_cap]
 
@@ -305,8 +315,7 @@ def cmd_cyc_weyl_vanish(args):
     lam = parse_partition(args.partition)
     seq = parse_labels(args.seq)
     ctx = make_context(lam, **cap_kwargs(args))
-    if any(v > ctx.rank for v in seq):
-        raise UsageError(f"sequence label exceeds rank {ctx.rank}")
+    check_labels(seq, ctx.rank)
     ok = weyl_vanishing_check(seq, ctx)
     payload = {"lambda": list(lam), "idempotent": list(seq), "ok": ok}
     return payload, 0 if ok else 1
@@ -314,7 +323,7 @@ def cmd_cyc_weyl_vanish(args):
 
 def cmd_cyc_gt_ortho(args):
     lam = parse_partition(args.partition)
-    deg_cap = args.deg_cap if args.deg_cap is not None else 2 * lam.size() + 4
+    deg_cap = cap_kwargs(args).get("degree_cap", 2 * lam.size() + 4)
     key = ["cyc gt-ortho", list(lam), deg_cap, args.dot_cap]
 
     def compute():
@@ -331,8 +340,10 @@ def cmd_cyc_gt_ortho(args):
 
 def cmd_oracle_gram(args):
     lam = parse_partition(args.partition)
-    hw = weight_of_partition(lam).entries
     beta = parse_beta(args.beta)
+    if len(beta) != lam.part_count - 1:
+        raise UsageError(f"--beta needs {lam.part_count - 1} entries, one per node")
+    hw = weight_of_partition(lam).entries
     key = ["oracle gram", list(lam), list(beta)]
     payload = get_cache(args).fetch(key, lambda: shapovalov_gram(hw, beta).to_json())
     return payload, 0

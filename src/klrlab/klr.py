@@ -7,12 +7,9 @@ __all__ = [
     "KLRWord",
     "KLRElement",
     "SpecialIdempotentSpec",
-    "make_word",
-    "degree",
     "normal_form",
     "multiply",
     "inv_r3",
-    "factor_one_strand",
     "factor_general",
     "decorate_regions",
     "canonical_terms",
@@ -130,16 +127,6 @@ class KLRWord:
 
     def __repr__(self):
         return f"KLRWord(rank={self.rank}, bottom={self.bottom}, ops={list(self.ops)})"
-
-
-def make_word(rank, bottom, ops=()):
-    """Validated constructor for a diagram word."""
-    return KLRWord(rank, bottom, ops)
-
-
-def degree(word):
-    """Homogeneous degree: dots count 2, crossings count minus the Cartan pairing."""
-    return word.degree()
 
 
 def idempotent(rank, bottom):
@@ -850,13 +837,3 @@ def factor_general(seq, k, rank=None):
             r = p - 1 + (c - 1 - s)
             work.extend(_split_r3diff(it, r))
     return out
-
-
-def factor_one_strand(seq, rank=None):
-    """Pull a single run ending at the top label out to the front of a sequence."""
-    seq = tuple(int(v) for v in seq)
-    if rank is None:
-        rank = max(seq) if seq else 1
-    if seq.count(rank) < 1:
-        raise ValueError(f"sequence has no strand with label {rank}")
-    return factor_general(seq, 1, rank)

@@ -165,22 +165,6 @@ def quantum_integer(n):
     return LaurentPoly({m - 1 - 2 * k: sign for k in range(m)})
 
 
-def bar_involution(p):
-    """Apply the bar involution q -> q^{-1} to a Laurent polynomial."""
-    return p.bar()
-
-
-def laurent_arith(a, b, op):
-    """Dispatch basic arithmetic: op is one of 'add', 'mul', 'eq'."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "eq":
-        return a == b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # dense integer polynomial helpers (for gcd / exact division of Laurent polys)
 

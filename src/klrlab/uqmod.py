@@ -172,22 +172,6 @@ class HighestWeightModule:
     def dim(self):
         return len(self.basis)
 
-    def k_matrix(self, i):
-        d = self.dim()
-        zero = LaurentFrac.zero()
-        m = [[zero] * d for _ in range(d)]
-        for r in range(d):
-            m[r][r] = LaurentFrac(LaurentPoly.q_power(self.weights[r][i - 1]))
-        return m
-
-    def k_inverse_matrix(self, i):
-        d = self.dim()
-        zero = LaurentFrac.zero()
-        m = [[zero] * d for _ in range(d)]
-        for r in range(d):
-            m[r][r] = LaurentFrac(LaurentPoly.q_power(-self.weights[r][i - 1]))
-        return m
-
     def weight_multiset(self):
         out = {}
         for wt in self.weights:
@@ -212,7 +196,8 @@ def _coords_in_basis(hw, word, basis_idx, basis, grams_by_weight):
 
 def build_irreducible(hw, depth=None):
     """Span F-monomials layer by layer, keep a pivot basis of the nondegenerate quotient,
-    and assemble the E, F and K actions as exact matrices."""
+    and assemble the E and F actions as exact matrices; K_i acts on each basis vector
+    by q to the i-th entry of its weight."""
     hw = tuple(int(x) for x in hw)
     if any(x < 0 for x in hw):
         raise ValueError("highest weight must be dominant")
@@ -281,95 +266,76 @@ def build_irreducible(hw, depth=None):
     return HighestWeightModule(rank, hw, depth, basis, weights, e_mats, f_mats, grams_by_weight)
 
 
-def _matmul(a, b):
-    n = len(a)
-    zero = LaurentFrac.zero()
-    out = [[zero] * n for _ in range(n)]
-    for r in range(n):
-        arow = a[r]
-        orow = out[r]
-        for k in range(n):
-            v = arow[k]
-            if v.is_zero():
-                continue
-            brow = b[k]
-            for c in range(n):
-                if brow[c].is_zero():
-                    continue
-                orow[c] = orow[c] + v * brow[c]
+def _sparse(mat):
+    """The nonzero entries of a dense matrix as rows {row: {col: value}}."""
+    return {r: {c: v for c, v in enumerate(row) if v} for r, row in enumerate(mat) if any(row)}
+
+
+def _product(a, b):
+    """Product of two sparse matrices; entries that cancel are kept as zeros."""
+    out = {}
+    for r, arow in a.items():
+        acc = out[r] = {}
+        for k, v in arow.items():
+            for c, w in b.get(k, {}).items():
+                acc[c] = acc[c] + v * w if c in acc else v * w
     return out
 
 
-def _matscale(a, poly):
-    return [[v * poly for v in row] for row in a]
-
-
-def _matsub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_is_zero(a):
-    return all(v.is_zero() for row in a for v in row)
-
-
-def _mat_eq(a, b):
-    return _mat_is_zero(_matsub(a, b))
+def _entries(*mats):
+    """The nonzero entries {(row, col): value} of a sum of sparse matrices."""
+    out = {}
+    for m in mats:
+        for r, row in m.items():
+            for c, v in row.items():
+                out[r, c] = out[r, c] + v if (r, c) in out else v
+    return {key: v for key, v in out.items() if v}
 
 
 def verify_relations(module):
-    """Check the defining relations on the module's matrices; False on any failure."""
+    """Check the defining relations of U_q(sl_{n+1}) on the module's E and F matrices.
+
+    The K relations K_i E_j K_i^-1 = q^{a_ij} E_j and K_i F_j K_i^-1 = q^{-a_ij} F_j are
+    checked as the weight grading they amount to entry by entry: every nonzero entry
+    of E_j (of F_j) maps a basis vector of weight wt to one of weight wt + alpha_j
+    (wt - alpha_j), alpha_j being column j of the Cartan matrix.  Then
+    [E_i, F_j] = delta_ij [h_i], with [h_i] acting on weight wt by the quantum integer
+    [wt_i]; X_i X_j = X_j X_i for |i - j| >= 2; and the quantum Serre relation
+    X_i^2 X_j - [2] X_i X_j X_i + X_j X_i^2 = 0 for |i - j| = 1, for X = E and X = F.
+    Returns False on the first relation that fails.
+    """
     rank = module.rank
-    dim = module.dim()
+    weights = module.weights
     cartan = CartanA(rank)
-    zero = LaurentFrac.zero()
-    ident = [[zero] * dim for _ in range(dim)]
-    for r in range(dim):
-        ident[r][r] = LaurentFrac.one()
+    e = {i: _sparse(module.e_mats[i]) for i in range(1, rank + 1)}
+    f = {i: _sparse(module.f_mats[i]) for i in range(1, rank + 1)}
+    for j in range(1, rank + 1):
+        alpha = [cartan.entry(i, j) for i in range(1, rank + 1)]
+        for mat, sign in ((e[j], 1), (f[j], -1)):
+            for r, row in mat.items():
+                for c in row:
+                    if any(a - b != sign * s for a, b, s in zip(weights[r], weights[c], alpha)):
+                        return False
     for i in range(1, rank + 1):
-        k = module.k_matrix(i)
-        kinv = module.k_inverse_matrix(i)
-        if not _mat_eq(_matmul(k, kinv), ident):
-            return False
+        h = {r: {r: LaurentFrac(quantum_integer(wt[i - 1]))} for r, wt in enumerate(weights)}
         for j in range(1, rank + 1):
-            e = module.e_mats[j]
-            f = module.f_mats[j]
-            a = cartan.entry(i, j)
-            if not _mat_eq(_matmul(_matmul(k, e), kinv), _matscale(e, LaurentPoly.q_power(a))):
-                return False
-            if not _mat_eq(_matmul(_matmul(k, f), kinv), _matscale(f, LaurentPoly.q_power(-a))):
-                return False
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            comm = _matsub(
-                _matmul(module.e_mats[i], module.f_mats[j]),
-                _matmul(module.f_mats[j], module.e_mats[i]),
-            )
-            if i != j:
-                if not _mat_is_zero(comm):
-                    return False
-                continue
-            want = [[zero] * dim for _ in range(dim)]
-            for r in range(dim):
-                want[r][r] = LaurentFrac(quantum_integer(module.weights[r][i - 1]))
-            if not _mat_eq(comm, want):
+            ef, fe = _product(e[i], f[j]), _product(f[j], e[i])
+            if _entries(ef) != _entries(fe, h if i == j else {}):
                 return False
     two = quantum_integer(2)
     for i in range(1, rank + 1):
         for j in range(1, rank + 1):
             if i == j:
                 continue
-            for mats in (module.e_mats, module.f_mats):
-                x, y = mats[i], mats[j]
+            for x, y in ((e[i], e[j]), (f[i], f[j])):
+                xy = _product(x, y)
                 if abs(i - j) >= 2:
-                    if not _mat_eq(_matmul(x, y), _matmul(y, x)):
+                    if _entries(xy) != _entries(_product(y, x)):
                         return False
                     continue
-                serre = _matsub(
-                    _matmul(_matmul(x, x), y),
-                    _matscale(_matmul(_matmul(x, y), x), two),
-                )
-                serre = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(serre, _matmul(y, _matmul(x, x)))]
-                if not _mat_is_zero(serre):
+                xyx = _product(xy, x)
+                twice = {r: {c: v * two for c, v in row.items()} for r, row in xyx.items()}
+                if _entries(_product(x, xy), _product(y, _product(x, x))) != _entries(twice):
                     return False
     return True
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end and the result cache."""
 
+import io
 import json
 import os
 
@@ -49,6 +50,35 @@ def test_malformed_partition_exits_2(capsys):
     assert code == 2 and out == "" and "malformed partition" in err
     code, out, err = run(capsys, ["gt", "enum", "--partition", "1,2"])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["klr", "nf"], "{not json"),
+        (["klr", "degree"], "{not json"),
+        (["cyc", "reduce", "--partition", "1,0"], "{not json"),
+        (["cyc", "reduce", "--partition", "1,0", "--deg-cap", "0"], ""),
+        (["cyc", "reduce", "--partition", "1,0", "--dot-cap", "0"], ""),
+        (["cyc", "gdim", "--partition", "1,0", "--seq", "1", "--deg-cap", "-1"], ""),
+        (["cyc", "gdim", "--partition", "1,0", "--seq", "1", "--dot-cap", "0"], ""),
+        (["cyc", "sl2-vanish", "--partition", "2,0", "--deg-cap", "0"], ""),
+        (["cyc", "sl2-vanish", "--partition", "2,0", "--dot-cap", "0"], ""),
+        (["cyc", "gt-ortho", "--partition", "1,0", "--deg-cap", "0"], ""),
+        (["cyc", "gt-ortho", "--partition", "1,0", "--dot-cap", "-2"], ""),
+        (["cyc", "gdim", "--partition", "2,1,0", "--seq", "5"], ""),
+        (["cyc", "gdim", "--partition", "2,1,0", "--seq", "1", "--seq2", "3"], ""),
+        (["cyc", "compare", "--partition", "2,1,0", "--seq", "1", "--seq2", "5"], ""),
+        (["oracle", "gram", "--partition", "2,1,0", "--beta", "1,1,1"], ""),
+        (["oracle", "gram", "--partition", "2,1,0", "--beta", "1"], ""),
+    ],
+)
+def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("KLRLAB_CACHE", str(tmp_path))
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_weights_schur(capsys):

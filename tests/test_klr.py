@@ -10,12 +10,9 @@ from klrlab.klr import (
     SpecialIdempotentSpec,
     StrandSeq,
     decorate_regions,
-    degree,
     factor_general,
-    factor_one_strand,
     idempotent,
     inv_r3,
-    make_word,
     multiply,
     normal_form,
 )
@@ -54,43 +51,43 @@ def assert_elements_agree_in_oracle(x, y, rng):
         assert fx == fy
 
 
-def test_make_word_validation():
-    make_word(2, (1, 2), [("cross", 1), ("dot", 2)])
+def test_word_validation():
+    KLRWord(2, (1, 2), [("cross", 1), ("dot", 2)])
     with pytest.raises(ValueError):
-        make_word(1, (1,), [("cross", 1)])
+        KLRWord(1, (1,), [("cross", 1)])
     with pytest.raises(ValueError):
-        make_word(2, (1, 3), [])
+        KLRWord(2, (1, 3), [])
     with pytest.raises(ValueError):
-        make_word(2, (1, 2), [("dot", 3)])
+        KLRWord(2, (1, 2), [("dot", 3)])
     with pytest.raises(ValueError):
-        make_word(2, (1, 2), [("twist", 1)])
+        KLRWord(2, (1, 2), [("twist", 1)])
 
 
 def test_degree_of_generators():
-    assert degree(make_word(2, (1, 2), [("dot", 1)])) == 2
-    assert degree(make_word(2, (1, 1), [("cross", 1)])) == -2
-    assert degree(make_word(2, (1, 2), [("cross", 1)])) == 1
-    assert degree(make_word(3, (1, 3), [("cross", 1)])) == 0
+    assert KLRWord(2, (1, 2), [("dot", 1)]).degree() == 2
+    assert KLRWord(2, (1, 1), [("cross", 1)]).degree() == -2
+    assert KLRWord(2, (1, 2), [("cross", 1)]).degree() == 1
+    assert KLRWord(3, (1, 3), [("cross", 1)]).degree() == 0
 
 
 def test_double_crossing_equal_labels_is_zero():
-    w = make_word(2, (1, 1), [("cross", 1), ("cross", 1)])
+    w = KLRWord(2, (1, 1), [("cross", 1), ("cross", 1)])
     assert normal_form(w).is_zero()
 
 
 def test_double_crossing_distant_labels_is_identity():
-    w = make_word(3, (1, 3), [("cross", 1), ("cross", 1)])
+    w = KLRWord(3, (1, 3), [("cross", 1), ("cross", 1)])
     assert normal_form(w) == idempotent(3, (1, 3))
 
 
 def test_double_crossing_adjacent_labels_opens_to_dots():
     for bottom in ((1, 2), (2, 1)):
-        w = make_word(2, bottom, [("cross", 1), ("cross", 1)])
+        w = KLRWord(2, bottom, [("cross", 1), ("cross", 1)])
         want = KLRElement(
             2,
             {
-                make_word(2, bottom, [("dot", 1)]): 1,
-                make_word(2, bottom, [("dot", 2)]): 1,
+                KLRWord(2, bottom, [("dot", 1)]): 1,
+                KLRWord(2, bottom, [("dot", 2)]): 1,
             },
         )
         assert normal_form(w) == want
@@ -99,8 +96,8 @@ def test_double_crossing_adjacent_labels_opens_to_dots():
 def test_dot_slide_relations():
     # psi_1 x_1 - x_2 psi_1 is the idempotent on equal labels, zero otherwise
     for bottom, want_one in (((1, 1), True), ((1, 2), False), ((1, 3), False)):
-        a = make_word(2 if max(bottom) < 3 else 3, bottom, [("dot", 1), ("cross", 1)])
-        b = make_word(a.rank, bottom, [("cross", 1), ("dot", 2)])
+        a = KLRWord(2 if max(bottom) < 3 else 3, bottom, [("dot", 1), ("cross", 1)])
+        b = KLRWord(a.rank, bottom, [("cross", 1), ("dot", 2)])
         dif = normal_form(KLRElement(a.rank, {a: 1, b: -1}))
         if want_one:
             assert dif == idempotent(a.rank, bottom)
@@ -121,8 +118,8 @@ def test_braid_difference():
     ]
     for bottom, want_one in cases:
         n = max(bottom)
-        a = make_word(n, bottom, [("cross", 1), ("cross", 2), ("cross", 1)])
-        b = make_word(n, bottom, [("cross", 2), ("cross", 1), ("cross", 2)])
+        a = KLRWord(n, bottom, [("cross", 1), ("cross", 2), ("cross", 1)])
+        b = KLRWord(n, bottom, [("cross", 2), ("cross", 1), ("cross", 2)])
         dif = normal_form(KLRElement(n, {a: 1, b: -1}))
         if want_one:
             assert dif == idempotent(n, bottom)
@@ -157,9 +154,9 @@ def test_normal_form_preserves_degree():
     rng = random.Random(33)
     for _ in range(200):
         w = random_word(rng)
-        d = degree(w)
+        d = w.degree()
         for term in normal_form(w).terms:
-            assert degree(term) == d
+            assert term.degree() == d
 
 
 def test_normal_form_idempotent_on_canonical_output():
@@ -203,8 +200,8 @@ def test_multiply_associativity():
 
 
 def test_multiply_boundary_mismatch_is_zero():
-    a = make_word(2, (1, 2))
-    b = make_word(2, (2, 2))
+    a = KLRWord(2, (1, 2))
+    b = KLRWord(2, (2, 2))
     assert multiply(a, b).is_zero()
     assert multiply(KLRElement(2, {}), KLRElement(2, {a: 1})).is_zero()
 
@@ -224,9 +221,9 @@ def test_multiply_adds_degrees():
         prod = multiply(a, b)
         if prod.is_zero():
             continue
-        want = degree(a) + degree(b)
+        want = a.degree() + b.degree()
         for term in prod.terms:
-            assert degree(term) == want
+            assert term.degree() == want
 
 
 def test_rewrite_budget():
@@ -249,7 +246,7 @@ def test_inv_r3_all_triples_ranks_2_to_4():
                 for labels in ((i, i, j), (j, i, i)):
                     lhs, rhs = inv_r3(labels, n)
                     assert normal_form(lhs) == normal_form(rhs) == idempotent(n, labels)
-                    assert all(degree(w) == 0 for w in rhs.terms)
+                    assert all(w.degree() == 0 for w in rhs.terms)
                     checked += 1
     assert checked == 2 * (2 + 4 + 6)
 
@@ -274,7 +271,7 @@ def reconstruct(terms, rank):
 def test_factor_one_strand_adjacent_double_example():
     for n in (2, 3):
         seq = (n - 1, n - 1, n)
-        terms = factor_one_strand(seq, n)
+        terms = factor_general(seq, 1, n)
         assert len(terms) == 2
         for coeff, left, spec, right in terms:
             assert spec.xi == (n - 1,)
@@ -295,7 +292,7 @@ def test_factor_one_strand_random_reconstruction():
         seq = tuple(rng.randint(1, n) for _ in range(m))
         if n not in seq:
             continue
-        terms = factor_one_strand(seq, n)
+        terms = factor_general(seq, 1, n)
         assert reconstruct(terms, n) == normal_form(idempotent(n, seq))
         for _, left, spec, right in terms:
             assert len(spec.xi) == 1
@@ -353,9 +350,9 @@ def test_strand_seq_and_json_roundtrips():
     assert s.to_json() == [1, 2, 3]
     with pytest.raises(ValueError):
         StrandSeq(2, (3,))
-    w = make_word(2, (1, 2), [("cross", 1), ("dot", 2)])
+    w = KLRWord(2, (1, 2), [("cross", 1), ("dot", 2)])
     assert KLRWord.from_json(w.to_json()) == w
-    e = KLRElement(2, {w: 3, make_word(2, (1, 2), [("dot", 1), ("cross", 1)]): -1})
+    e = KLRElement(2, {w: 3, KLRWord(2, (1, 2), [("dot", 1), ("cross", 1)]): -1})
     assert KLRElement.from_json(e.to_json()) == e
     spec = SpecialIdempotentSpec(3, (1, 2), (1, 1))
     assert SpecialIdempotentSpec.from_json(spec.to_json()) == spec

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from klrlab.qint import (
     LaurentFrac,
     LaurentPoly,
-    bar_involution,
-    laurent_arith,
     laurent_divexact,
     matrix_rank,
     quantum_integer,
@@ -35,22 +33,22 @@ def test_quantum_integer_negation_and_specialization():
     for n in range(-12, 13):
         assert quantum_integer(-n) == -quantum_integer(n)
         assert quantum_integer(n).at_one() == n
-        assert bar_involution(quantum_integer(n)) == quantum_integer(n)
+        assert quantum_integer(n).bar() == quantum_integer(n)
 
 
 def test_bar_is_an_involution_on_random_polys():
     rng = random.Random(11)
     for _ in range(1000):
         p = rand_poly(rng)
-        assert bar_involution(bar_involution(p)) == p
+        assert p.bar().bar() == p
 
 
 def test_bar_is_a_ring_map():
     rng = random.Random(12)
     for _ in range(100):
         a, b = rand_poly(rng), rand_poly(rng)
-        assert bar_involution(a * b) == bar_involution(a) * bar_involution(b)
-        assert bar_involution(a + b) == bar_involution(a) + bar_involution(b)
+        assert (a * b).bar() == a.bar() * b.bar()
+        assert (a + b).bar() == a.bar() + b.bar()
 
 
 def test_quantum_integer_multiplication_identity():
@@ -60,15 +58,13 @@ def test_quantum_integer_multiplication_identity():
         assert two * quantum_integer(n) == quantum_integer(n + 1) + quantum_integer(n - 1)
 
 
-def test_laurent_arith_dispatch():
+def test_laurent_operators():
     a = quantum_integer(2)
     b = quantum_integer(3)
-    assert laurent_arith(a, b, "add") == a + b
-    assert laurent_arith(a, b, "mul") == a * b
-    assert laurent_arith(a, a, "eq") is True
-    assert laurent_arith(a, b, "eq") is False
-    with pytest.raises(ValueError):
-        laurent_arith(a, b, "sub")
+    assert a + b == LaurentPoly({2: 1, 1: 1, 0: 1, -1: 1, -2: 1})
+    assert a * b == quantum_integer(4) + quantum_integer(2)
+    assert (a == a) is True
+    assert (a == b) is False
 
 
 def test_json_pairs_roundtrip_and_order():
@@ -117,8 +113,8 @@ def test_ring_axioms_hypothesis(a, b, c):
 
 @given(laurent, laurent)
 def test_bar_ring_map_hypothesis(a, b):
-    assert bar_involution(bar_involution(a)) == a
-    assert bar_involution(a * b) == bar_involution(a) * bar_involution(b)
+    assert a.bar().bar() == a
+    assert (a * b).bar() == a.bar() * b.bar()
 
 
 @given(laurent, laurent, st.integers(min_value=-4, max_value=4))

@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from klrlab.combi import Partition, weight_of_partition, weyl_dim
+from klrlab.combi import CartanA, Partition, weight_of_partition, weyl_dim
 from klrlab.qint import LaurentFrac, LaurentPoly, quantum_integer
 from klrlab.uqmod import (
     HighestWeightModule,
@@ -163,6 +163,22 @@ def test_verify_relations_detects_mutation():
     mod = build_irreducible((2,))
     mod.f_mats[1][2][1] = LaurentFrac.zero()
     assert not verify_relations(mod)
+    # E_1 must raise the weight, so no nonzero entry may stay inside one weight space
+    mod = build_irreducible((1, 1))
+    r, c = mod.weight_spaces[(0, 0)]
+    mod.e_mats[1][r][c] = LaurentFrac.one()
+    assert not verify_relations(mod)
+    # every single-entry +1 mutation of every E_i and F_i
+    for hw in [(2,), (1, 1), (1, 0, 1)]:
+        mod = build_irreducible(hw)
+        for mats in (mod.e_mats, mod.f_mats):
+            for i, mat in mats.items():
+                for r, c in itertools.product(range(mod.dim()), repeat=2):
+                    keep = mat[r][c]
+                    mat[r][c] = keep + LaurentFrac.one()
+                    assert not verify_relations(mod), (hw, i, r, c)
+                    mat[r][c] = keep
+        assert verify_relations(mod), hw
 
 
 def test_biadjointness_on_basis():
@@ -193,11 +209,17 @@ def test_biadjointness_on_basis():
                     assert lhs == rhs, (hw, i, r, c)
 
 
-def test_k_action_by_weight():
-    mod = build_irreducible((2, 1))
-    k1 = mod.k_matrix(1)
-    for r in range(mod.dim()):
-        assert k1[r][r] == LaurentFrac(LaurentPoly.q_power(mod.weights[r][0]))
+def test_ef_entries_move_weight_by_a_simple_root():
+    for hw in [(2, 1), (1, 0, 1)]:
+        mod = build_irreducible(hw)
+        cartan = CartanA(mod.rank)
+        for i in range(1, mod.rank + 1):
+            alpha = tuple(cartan.entry(j, i) for j in range(1, mod.rank + 1))
+            for mats, sign in ((mod.e_mats, 1), (mod.f_mats, -1)):
+                for r, c in itertools.product(range(mod.dim()), repeat=2):
+                    if not mats[i][r][c].is_zero():
+                        step = tuple(a - b for a, b in zip(mod.weights[r], mod.weights[c]))
+                        assert step == tuple(sign * a for a in alpha), (hw, i, r, c)
 
 
 def test_branching_character_examples():
