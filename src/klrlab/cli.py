@@ -180,6 +180,8 @@ def cmd_gt_idem(args):
 
 def cmd_branch_check(args):
     lam = parse_partition(args.partition)
+    if lam.part_count < 2:
+        raise UsageError("branch check needs a partition with at least two parts")
     result = branching_character_check(lam)
     return result, 0 if result["ok"] else 1
 
@@ -248,6 +250,11 @@ def cmd_cyc_reduce(args):
     lam = parse_partition(args.partition)
     ctx = make_context(lam, **cap_kwargs(args))
     x = load_element(args)
+    check_labels([v for w in x.terms for v in w.bottom], ctx.rank)
+    if x.rank != ctx.rank:
+        raise UsageError(
+            f"element rank {x.rank} does not match the quotient's rank {ctx.rank}"
+        )
     red, status = cyc_reduce(x, ctx)
     payload = {"lambda": list(lam), "element": red.to_json(), "status": status}
     code = 1 if args.require_exact and status != EXACT else 0

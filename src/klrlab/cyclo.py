@@ -124,7 +124,14 @@ def _key_degree(bottom, key):
 
 
 class _Echelon:
-    """Reduced row echelon form over the canonical-word keys, exact rational arithmetic."""
+    """Reduced row echelon form over the canonical-word keys, exact rational arithmetic.
+
+    `rows` maps each pivot (the largest key of its row) to a row whose pivot entry is 1
+    and which is zero at every other pivot: `insert` back-substitutes each new row into
+    the others.  Because of that invariant, clearing one pivot of a vector never changes
+    its entry at another, so `reduce` clears the pivots a vector meets in any order, in
+    one pass, and the result is the unique normal form of the vector modulo the row span.
+    """
 
     __slots__ = ("rows",)
 
@@ -133,40 +140,38 @@ class _Echelon:
 
     def reduce(self, vec):
         out = dict(vec)
-        for pivot in sorted(self.rows, reverse=True):
-            c = out.get(pivot)
-            if not c:
-                continue
-            for k, v in self.rows[pivot].items():
-                nv = out.get(k, 0) - c * v
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
+        rows = self.rows
+        for pivot in [k for k in out if k in rows]:
+            _axpy(out, -out[pivot], rows[pivot])
         return out
 
     def insert(self, vec):
+        """Add a row; return its pivot, or None when it reduces to zero."""
         r = self.reduce(vec)
         if not r:
-            return False
+            return None
         pivot = max(r)
         inv = Fraction(1, 1) / r[pivot]
         r = {k: v * inv for k, v in r.items()}
-        for p2, row in self.rows.items():
+        for row in self.rows.values():
             c = row.get(pivot)
-            if not c:
-                continue
-            for k, v in r.items():
-                nv = row.get(k, 0) - c * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
+            if c:
+                _axpy(row, -c, r)
         self.rows[pivot] = r
-        return True
+        return pivot
 
     def rank(self):
         return len(self.rows)
+
+
+def _axpy(out, c, row):
+    """out += c * row in place, dropping entries that cancel."""
+    for k, v in row.items():
+        nv = out.get(k, 0) + c * v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
 
 
 class _RowSource:
@@ -293,8 +298,12 @@ def _get_state(ctx, bottom, top, delta, dcap, xcap, extra_rows=None, tag=None):
     return state
 
 
-def _feed_until(state, stop):
-    """Feed spanning rows into the echelon until `stop(ech)` or the source runs dry."""
+def _feed_until(state, stop, on_insert=None):
+    """Feed spanning rows into the echelon until `stop(ech)` or the source runs dry.
+
+    `stop` is tested before each row; `on_insert(ech, pivot)` runs after each row that
+    raised the rank.  Returns whether `stop` was met.
+    """
     ech = state["ech"]
     source = state["source"]
     while not stop(ech):
@@ -302,21 +311,28 @@ def _feed_until(state, stop):
         if row is None:
             return False
         state["fed"] += 1
-        ech.insert(row)
+        pivot = ech.insert(row)
+        if pivot is not None and on_insert is not None:
+            on_insert(ech, pivot)
     return True
 
 
 def _reduce_vec(ctx, bottom, top, delta, dcap, xcap, vec, tag=None, extra_rows=None):
+    """Remainder of `vec` modulo the ideal piece, feeding rows until it vanishes.
+
+    The remainder is reduced once, then kept reduced as rows come in: a new pivot p
+    needs only `rem -= rem[p] * row_p`, since every older row is zero at p and the new
+    row is zero at every older pivot.
+    """
     state = _get_state(ctx, bottom, top, delta, dcap, xcap, extra_rows=extra_rows, tag=tag)
-    remainder = {}
+    remainder = state["ech"].reduce(vec)
 
-    def stop(ech):
-        nonlocal remainder
-        remainder = ech.reduce(vec)
-        return not remainder
+    def on_insert(ech, pivot):
+        c = remainder.get(pivot)
+        if c:
+            _axpy(remainder, -c, ech.rows[pivot])
 
-    done = _feed_until(state, stop)
-    if done:
+    if _feed_until(state, lambda ech: not remainder, on_insert):
         return {}, False
     return remainder, state["source"].capped
 

@@ -52,6 +52,13 @@ def test_malformed_partition_exits_2(capsys):
     assert code == 2 and out == ""
 
 
+# One idempotent strand of rank 2, with its label filled in by %.
+RANK2_ELEMENT = (
+    '{"rank": 2, "terms": [{"coeff": 1,'
+    ' "word": {"rank": 2, "bottom": [%d], "ops": []}}]}'
+)
+
+
 @pytest.mark.parametrize(
     "argv, stdin",
     [
@@ -71,6 +78,9 @@ def test_malformed_partition_exits_2(capsys):
         (["cyc", "compare", "--partition", "2,1,0", "--seq", "1", "--seq2", "5"], ""),
         (["oracle", "gram", "--partition", "2,1,0", "--beta", "1,1,1"], ""),
         (["oracle", "gram", "--partition", "2,1,0", "--beta", "1"], ""),
+        (["branch", "check", "--partition", "2"], ""),
+        (["cyc", "reduce", "--partition", "1,0"], RANK2_ELEMENT % 1),
+        (["cyc", "reduce", "--partition", "1,0"], RANK2_ELEMENT % 2),
     ],
 )
 def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):

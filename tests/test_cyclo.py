@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,7 @@ from klrlab.cyclo import (
     tilde_kernel_test,
     weyl_vanishing_check,
 )
+from klrlab.cyclo import _Echelon, _RowSource, _basis_keys, _ideal_row_gen, _reduce_vec
 from klrlab.klr import KLRElement, KLRWord, SpecialIdempotentSpec, idempotent, multiply
 from klrlab.qint import LaurentPoly
 from klrlab.uqmod import gram_entry, weight_words
@@ -389,3 +391,70 @@ def test_capped_status_on_tiny_caps():
     red, st = cyc_reduce(elem(1, (1,), (("dot", 1),) * 3), ctx)
     assert st == CAPPED
     assert not red.is_zero()
+
+
+def piece_rows(ctx, seq, delta):
+    """Every ideal row of one graded endomorphism piece, in feeding order."""
+    gen = _ideal_row_gen(ctx, seq, seq, delta, ctx.degree_cap, ctx.dot_cap, _RowSource(None))
+    return list(gen)
+
+
+def sorted_pivot_reduce(rows, vec):
+    """Reference reduction: clear pivots from the largest down, one at a time."""
+    out = dict(vec)
+    for pivot in sorted(rows, reverse=True):
+        c = out.get(pivot)
+        if c:
+            for k, v in rows[pivot].items():
+                out[k] = out.get(k, 0) - c * v
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("seq, delta", [((1, 2, 1, 2), 0), ((1, 2, 2), 2)])
+def test_echelon_reduce_matches_sorted_pivot_reduction(seq, delta):
+    ctx = make_context(Partition((2, 1, 0)))
+    rows = piece_rows(ctx, seq, delta)
+    keys = _basis_keys(seq, seq, delta)
+    ech = _Echelon()
+    for row in rows:
+        ech.insert(row)
+    assert 0 < ech.rank() < len(keys)
+    for pivot, row in ech.rows.items():
+        assert row[pivot] == 1 and pivot == max(row)
+        assert not any(k in row for k in ech.rows if k != pivot)
+    rng = random.Random(5)
+    vecs = rows + [
+        {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in keys} for _ in range(20)
+    ]
+    for vec in vecs:
+        vec = {k: v for k, v in vec.items() if v}
+        assert ech.reduce(vec) == sorted_pivot_reduce(ech.rows, vec)
+
+
+def test_kept_remainder_matches_a_fresh_reduction_after_every_row():
+    ctx = make_context(Partition((2, 1, 0)))
+    seq = (1, 2, 1, 2)
+    rows = piece_rows(ctx, seq, 0)
+    keys = _basis_keys(seq, seq, 0)
+    vec = {k: Fraction(i % 3 + 1) for i, k in enumerate(keys)}
+    moved = 0
+    for n in range(len(rows) + 1):
+        ctx = make_context(Partition((2, 1, 0)))
+        source_key = (seq, seq, 0, ctx.degree_cap, ctx.dot_cap)
+        ctx.sources[source_key] = _RowSource(iter(rows[:n]))
+        rem, _ = _reduce_vec(ctx, seq, seq, 0, ctx.degree_cap, ctx.dot_cap, vec)
+        ech = _Echelon()
+        for row in rows[:n]:
+            ech.insert(row)
+        fresh = ech.reduce(vec)
+        assert rem == fresh and rem
+        moved += fresh != vec
+    assert moved
+
+
+def test_vanishing_piece_feeds_the_same_rows():
+    ctx = make_context(Partition((2, 0)))
+    red, _ = cyc_reduce(idempotent(1, (1, 1, 1)), ctx)
+    assert red.is_zero()
+    ((_, state),) = ctx.states.items()
+    assert (state["fed"], state["ech"].rank()) == (101, 26)
