@@ -83,8 +83,14 @@ def cap_kwargs(args):
     return out
 
 
-def get_cache(args):
-    return ResultCache(getattr(args, "cache_dir", None))
+def fetch_cached(args, key, compute):
+    """The cached payload for key, computed and stored on a miss; a cache that cannot be
+    written is a usage error."""
+    cache = ResultCache(getattr(args, "cache_dir", None))
+    try:
+        return cache.fetch(key, compute)
+    except OSError as exc:
+        raise UsageError(f"cannot write the cache in {cache.directory!r}: {exc}") from None
 
 
 def load_element(args):
@@ -146,8 +152,11 @@ def emit(payload, args):
     else:
         text = json.dumps(payload) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -273,7 +282,7 @@ def cmd_cyc_gdim(args):
         poly, status = gdim_hom(e, e2, ctx)
         return hom_record(ctx, e, e2, poly, status)
 
-    payload = get_cache(args).fetch(key, compute)
+    payload = fetch_cached(args, key, compute)
     code = 1 if args.require_exact and payload["status"] != EXACT else 0
     return payload, code
 
@@ -301,7 +310,7 @@ def cmd_cyc_compare(args):
             "status": status,
         }
 
-    record = dict(get_cache(args).fetch(key, compute))
+    record = dict(fetch_cached(args, key, compute))
     status = record.pop("status")
     code = 0
     if not record["ok"] or (args.require_exact and status != EXACT):
@@ -341,7 +350,7 @@ def cmd_cyc_gt_ortho(args):
             "ok": ok,
         }
 
-    payload = get_cache(args).fetch(key, compute)
+    payload = fetch_cached(args, key, compute)
     return payload, 0 if payload["ok"] else 1
 
 
@@ -352,7 +361,7 @@ def cmd_oracle_gram(args):
         raise UsageError(f"--beta needs {lam.part_count - 1} entries, one per node")
     hw = weight_of_partition(lam).entries
     key = ["oracle gram", list(lam), list(beta)]
-    payload = get_cache(args).fetch(key, lambda: shapovalov_gram(hw, beta).to_json())
+    payload = fetch_cached(args, key, lambda: shapovalov_gram(hw, beta).to_json())
     return payload, 0
 
 
@@ -506,10 +515,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         payload, code = args.func(args)
+        emit(payload, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit(payload, args)
     return code
 
 

@@ -217,9 +217,12 @@ def _dense_pseudo_rem(f, g):
 
 
 def _dense_gcd(f, g):
-    """Primitive gcd of two dense int polynomials (primitive PRS)."""
+    """Primitive gcd of two dense int polynomials (primitive PRS); [1] when either is a
+    nonzero constant."""
     f = _dense_trim(list(f))
     g = _dense_trim(list(g))
+    if len(f) == 1 or len(g) == 1:
+        return [1]
     while g:
         r = _dense_pseudo_rem(f, g)
         _dense_trim(r)

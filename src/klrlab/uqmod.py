@@ -31,7 +31,14 @@ def monomial_weight(hw, word):
 
 
 def gram_entry(hw, u, w):
-    """Contravariant pairing of the monomial vectors F_u v and F_w v, normalized to <v,v> = 1."""
+    """Contravariant pairing of the monomial vectors F_u v and F_w v, normalized to <v,v> = 1.
+
+    With u = head + (i,), E_i moves across F_w v and each letter w[t] = i it meets leaves
+    the word w[:t] + w[t+1:] with the quantum integer of the weight of F_{w[:t]} v.  The
+    deletions are grouped by the word they leave and their coefficients summed first, so
+    each distinct remaining word is paired with head once (a string F_i^k v has one, not k),
+    and a word whose summed coefficient is zero is not paired at all.
+    """
     hw = tuple(hw)
     u = tuple(u)
     w = tuple(w)
@@ -45,12 +52,17 @@ def gram_entry(hw, u, w):
         return cached
     head, i = u[:-1], u[-1]
     shift = monomial_weight(hw, head)[i - 1] - 1
-    total = LaurentPoly.zero()
+    coeffs = {}
     for t in range(len(w)):
         if w[t] != i:
             continue
+        rest = w[:t] + w[t + 1 :]
         coeff = quantum_integer(monomial_weight(hw, w[:t])[i - 1])
-        total = total + coeff * gram_entry(hw, head, w[:t] + w[t + 1 :])
+        coeffs[rest] = coeffs[rest] + coeff if rest in coeffs else coeff
+    total = LaurentPoly.zero()
+    for rest, coeff in coeffs.items():
+        if coeff:
+            total = total + coeff * gram_entry(hw, head, rest)
     total = total.shift(shift)
     _gram_memo[key] = total
     return total
@@ -197,7 +209,12 @@ def _coords_in_basis(hw, word, basis_idx, basis, grams_by_weight):
 def build_irreducible(hw, depth=None):
     """Span F-monomials layer by layer, keep a pivot basis of the nondegenerate quotient,
     and assemble the E and F actions as exact matrices; K_i acts on each basis vector
-    by q to the i-th entry of its weight."""
+    by q to the i-th entry of its weight.
+
+    A word outside the basis gets its coordinates by solving against the Gram matrix of
+    the basis words of its weight.  A basis word has unit coordinates, without a solve:
+    that Gram matrix is nonsingular by construction, so the unit vector is its only
+    solution."""
     hw = tuple(int(x) for x in hw)
     if any(x < 0 for x in hw):
         raise ValueError("highest weight must be dominant")
@@ -239,7 +256,7 @@ def build_irreducible(hw, depth=None):
     zero = LaurentFrac.zero()
     e_mats = {i: [[zero] * dim for _ in range(dim)] for i in range(1, rank + 1)}
     f_mats = {i: [[zero] * dim for _ in range(dim)] for i in range(1, rank + 1)}
-    coord_memo = {}
+    coord_memo = {w: {idx: LaurentFrac.one()} for idx, w in enumerate(basis)}
 
     def coords(word):
         if word not in coord_memo:

@@ -58,6 +58,9 @@ RANK2_ELEMENT = (
     ' "word": {"rank": 2, "bottom": [%d], "ops": []}}]}'
 )
 
+# Stands for an empty regular file made under tmp_path, given where a directory is needed.
+PLAIN_FILE = "<plain file>"
+
 
 @pytest.mark.parametrize(
     "argv, stdin",
@@ -81,14 +84,22 @@ RANK2_ELEMENT = (
         (["branch", "check", "--partition", "2"], ""),
         (["cyc", "reduce", "--partition", "1,0"], RANK2_ELEMENT % 1),
         (["cyc", "reduce", "--partition", "1,0"], RANK2_ELEMENT % 2),
+        (["gt", "enum", "--partition", "2,1", "--out", PLAIN_FILE + "/x.json"], ""),
+        (
+            ["oracle", "gram", "--partition", "2,1,0", "--beta", "1,0", "--cache-dir", PLAIN_FILE],
+            "",
+        ),
     ],
 )
 def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    argv = [a.replace(PLAIN_FILE, str(plain)) for a in argv]
     monkeypatch.setenv("KLRLAB_CACHE", str(tmp_path))
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and err.startswith("error: ")
-    assert not list(tmp_path.iterdir())
+    assert list(tmp_path.iterdir()) == [plain] and plain.read_text() == ""
 
 
 def test_weights_schur(capsys):

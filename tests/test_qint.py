@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from klrlab.qint import (
     LaurentFrac,
     LaurentPoly,
+    _dense_gcd,
     laurent_divexact,
     matrix_rank,
     quantum_integer,
@@ -128,6 +130,27 @@ def test_divexact_roundtrip_hypothesis(a, b):
     if b.is_zero():
         return
     assert laurent_divexact(a * b, b) == a
+
+
+nonzero = st.integers(min_value=-9, max_value=9).filter(bool)
+
+
+@given(st.lists(st.integers(min_value=-9, max_value=9), max_size=6), nonzero)
+def test_gcd_with_a_constant_is_one(f, c):
+    assert _dense_gcd(f, [c]) == [1]
+    assert _dense_gcd([c], f) == [1]
+
+
+@given(laurent, nonzero, st.integers(min_value=-4, max_value=4))
+def test_fraction_over_a_monomial(a, c, k):
+    den_in = LaurentPoly.q_power(k, c)
+    f = LaurentFrac(a, den_in)
+    assert f.num * den_in == a * f.den
+    assert list(f.den.items()) == [(0, f.den.at_one())] and f.den.at_one() > 0
+    content = 0
+    for _, v in f.num.items():
+        content = math.gcd(content, v)
+    assert math.gcd(content, f.den.at_one()) == 1
 
 
 def test_laurent_divexact():

@@ -8,6 +8,7 @@ from klrlab.qint import LaurentFrac, LaurentPoly, quantum_integer
 from klrlab.uqmod import (
     HighestWeightModule,
     ShapovalovGram,
+    _coords_in_basis,
     branching_character_check,
     build_irreducible,
     exhaustion_depth,
@@ -148,6 +149,60 @@ def test_gram_bar_symmetry_per_weight_space():
                     if shift is None:
                         shift = s
                     assert e.bar().shift(shift) == e, (hw, wt)
+
+
+def test_sl2_string_norms_match_the_closed_form():
+    # <F^k v, F^k v> = q^{k(m-k)} [k]! [m][m-1]...[m-k+1] on the highest weight m
+    q = LaurentPoly.q_power(1)
+    for m in range(12):
+        for k in range(m + 3):
+            want = q ** (k * (m - k)) if k <= m else LaurentPoly.zero()
+            for j in range(1, k + 1):
+                want = want * quantum_integer(j) * quantum_integer(m - j + 1)
+            assert gram_entry((m,), (1,) * k, (1,) * k) == want, (m, k)
+
+
+def _ungrouped_gram(hw, u, w, memo):
+    """The pairing recursion with one product per deleted letter, as a reference."""
+    if len(u) != len(w) or sorted(u) != sorted(w):
+        return LaurentPoly.zero()
+    if not u:
+        return LaurentPoly.one()
+    if (u, w) not in memo:
+        head, i = u[:-1], u[-1]
+        total = LaurentPoly.zero()
+        for t in range(len(w)):
+            if w[t] == i:
+                coeff = quantum_integer(monomial_weight(hw, w[:t])[i - 1])
+                total = total + coeff * _ungrouped_gram(hw, head, w[:t] + w[t + 1 :], memo)
+        memo[u, w] = total.shift(monomial_weight(hw, head)[i - 1] - 1)
+    return memo[u, w]
+
+
+def test_grouped_gram_matches_the_ungrouped_recursion():
+    # every word pair of every weight space of (2,1), (1,0,1) and (4,); the 140-dimensional
+    # (2,1,1) module is slow to build and has up to 90090 words of one weight, so there
+    # every root content up to height 5
+    cases = []
+    for hw in [(2, 1), (1, 0, 1), (4,)]:
+        mod = build_irreducible(hw)
+        contents = {tuple(w.count(i) for i in range(1, len(hw) + 1)) for w in mod.basis}
+        cases.append((hw, contents))
+    cases.append(((2, 1, 1), [b for b in itertools.product(range(6), repeat=3) if sum(b) <= 5]))
+    for hw, contents in cases:
+        memo = {}
+        for beta in contents:
+            for u, w in itertools.product(weight_words(beta), repeat=2):
+                assert gram_entry(hw, u, w) == _ungrouped_gram(hw, u, w, memo), (hw, u, w)
+
+
+def test_basis_words_have_unit_coordinates():
+    # build_irreducible gives basis words these coordinates without solving
+    for hw in [(2, 1), (1, 1, 1), (5,)]:
+        mod = build_irreducible(hw)
+        for idx, w in enumerate(mod.basis):
+            got = _coords_in_basis(mod.hw, w, mod.weight_spaces, mod.basis, mod.grams)
+            assert got == {idx: LaurentFrac.one()}, (hw, w)
 
 
 def test_verify_relations_good_modules():
