@@ -124,7 +124,12 @@ def _key_degree(bottom, key):
 
 
 class _Echelon:
-    """Reduced row echelon form over the canonical-word keys, exact rational arithmetic.
+    """Reduced row echelon form over the canonical-word keys, in exact arithmetic.
+
+    A row whose pivot coefficient is 1 is stored as it is and one whose pivot is -1 is
+    negated; only another pivot coefficient divides the row through by a `Fraction`.
+    Every integral entry, stored or reduced, is kept as an int (`_integral`), so on the
+    ideal rows, whose coefficients are almost all +-1, the elimination runs on plain ints.
 
     `rows` maps each pivot (the largest key of its row) to a row whose pivot entry is 1
     and which is zero at every other pivot: `insert` back-substitutes each new row into
@@ -151,8 +156,11 @@ class _Echelon:
         if not r:
             return None
         pivot = max(r)
-        inv = Fraction(1, 1) / r[pivot]
-        r = {k: v * inv for k, v in r.items()}
+        lead = r[pivot]
+        if lead == -1:
+            r = {k: -v for k, v in r.items()}
+        elif lead != 1:
+            r = {k: _integral(Fraction(v, lead)) for k, v in r.items()}
         for row in self.rows.values():
             c = row.get(pivot)
             if c:
@@ -164,12 +172,17 @@ class _Echelon:
         return len(self.rows)
 
 
+def _integral(v):
+    """An int or Fraction, as an int when it is one: int arithmetic is far cheaper."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _axpy(out, c, row):
-    """out += c * row in place, dropping entries that cancel."""
+    """out += c * row in place, dropping entries that cancel; integral values stay ints."""
     for k, v in row.items():
         nv = out.get(k, 0) + c * v
         if nv:
-            out[k] = nv
+            out[k] = nv if type(nv) is int else _integral(nv)
         else:
             out.pop(k, None)
 
@@ -236,8 +249,14 @@ def _ideal_row_gen(ctx, bottom, top, delta, dcap, xcap, source):
     """Yield spanning vectors of the two-sided ideal piece between two boundaries.
 
     Rows come as canonical-term dicts.  Unit rows for words already carrying the full
-    dot power on the leftmost strand come first; then every sandwich of a dotted
-    leftmost-strand generator between canonical words on either side, within caps.
+    dot power on the leftmost strand come first; then every sandwich
+    x^compb * psi_vb * x_1^gpow * x^compa * psi_va of a dotted leftmost-strand generator
+    between canonical words on either side, within caps.  The canonical form keeps dots
+    at the bottom, so the dots x^compb underneath only add compb to the exponents of
+    every key of the middle's canonical dict; that map on keys is injective, so nothing
+    cancels.  Each middle is therefore rewritten once per compa and then shifted for
+    every compb, giving the same rows, in the same order (compb outer, compa inner), as
+    rewriting each whole word.
     """
     m = len(bottom)
     if m == 0 or ctx.rank == 0:
@@ -265,18 +284,21 @@ def _ideal_row_gen(ctx, bottom, top, delta, dcap, xcap, source):
                     if abs(cdb + 2 * tb) > dcap or abs(cda + 2 * ta) > dcap:
                         source.capped = True
                         continue
+                    middles = []
+                    for compa in _compositions(ta, m):
+                        ops = [("cross", g) for g in vb]
+                        ops.extend(("dot", 1) for _ in range(gpow))
+                        ops.extend(("dot", p + 1) for p in range(m) for _ in range(compa[p]))
+                        ops.extend(("cross", g) for g in va)
+                        _, terms = canonical_terms(KLRWord(rank, bottom, ops))
+                        if terms:
+                            middles.append(terms)
                     for compb in _compositions(tb, m):
-                        for compa in _compositions(ta, m):
-                            ops = [("dot", p + 1) for p in range(m) for _ in range(compb[p])]
-                            ops.extend(("cross", g) for g in vb)
-                            ops.extend(("dot", 1) for _ in range(gpow))
-                            ops.extend(
-                                ("dot", p + 1) for p in range(m) for _ in range(compa[p])
-                            )
-                            ops.extend(("cross", g) for g in va)
-                            _, terms = canonical_terms(KLRWord(rank, bottom, ops))
-                            if terms:
-                                yield dict(terms)
+                        for terms in middles:
+                            yield {
+                                (tuple(e + d for e, d in zip(exps, compb)), word): c
+                                for (exps, word), c in terms.items()
+                            }
 
 
 def _get_state(ctx, bottom, top, delta, dcap, xcap, extra_rows=None, tag=None):

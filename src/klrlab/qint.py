@@ -1,6 +1,5 @@
 """Laurent polynomials in q with integer coefficients, plus exact fraction and elimination helpers."""
 
-from fractions import Fraction
 from math import gcd as _int_gcd
 
 
@@ -238,18 +237,27 @@ def _dense_gcd(f, g):
 
 
 def _dense_divexact(f, g):
-    """Exact quotient f/g over the rationals; raises if the division is not exact."""
-    f = [Fraction(v) for v in f]
-    q = [Fraction(0)] * (len(f) - len(g) + 1)
+    """Exact quotient f/g of dense integer polynomials, with integer coefficients.
+
+    Every caller divides where the quotient is integral: a Bareiss step, or a primitive
+    polynomial by a primitive gcd (Gauss's lemma).  So each step of the long division
+    divides by g's leading coefficient with `divmod`; a nonzero remainder there (the
+    quotient is not integral) or a nonzero final remainder (g does not divide f) raises
+    ArithmeticError.
+    """
     dg = len(g) - 1
-    lg = Fraction(g[-1])
+    lg = g[-1]
     work = list(f)
+    q = [0] * (len(f) - dg)
     for i in range(len(q) - 1, -1, -1):
-        coef = work[i + dg] / lg
+        coef, r = divmod(work[i + dg], lg)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
         q[i] = coef
-        for k in range(dg + 1):
-            work[i + k] -= coef * g[k]
-    if any(v != 0 for v in work):
+        if coef:
+            for k in range(dg + 1):
+                work[i + k] -= coef * g[k]
+    if any(work):
         raise ArithmeticError("inexact polynomial division")
     return q
 
@@ -262,14 +270,7 @@ def laurent_divexact(a, b):
         return LaurentPoly.zero()
     sa, fa = _to_dense(a)
     sb, fb = _to_dense(b)
-    q = _dense_divexact(fa, fb)
-    out = {}
-    for k, v in enumerate(q):
-        if v:
-            if v.denominator != 1:
-                raise ArithmeticError("inexact laurent division")
-            out[sa - sb + k] = int(v)
-    return LaurentPoly(out)
+    return _from_dense(sa - sb, _dense_divexact(fa, fb))
 
 
 class LaurentFrac:
@@ -297,8 +298,8 @@ class LaurentFrac:
         pd = [v // cd for v in fd]
         g = _dense_gcd(pn, pd)
         if len(g) > 1 or g[0] != 1:
-            pn = [int(v) for v in _int_quotient_list(_dense_divexact(pn, g))]
-            pd = [int(v) for v in _int_quotient_list(_dense_divexact(pd, g))]
+            pn = _dense_divexact(pn, g)
+            pd = _dense_divexact(pd, g)
         cg = _int_gcd(cn, cd)
         cn //= cg
         cd //= cg
@@ -384,15 +385,6 @@ class LaurentFrac:
         if self.den == LaurentPoly.one():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
-
-
-def _int_quotient_list(fracs):
-    out = []
-    for v in fracs:
-        if v.denominator != 1:
-            raise ArithmeticError("inexact division")
-        out.append(int(v))
-    return out
 
 
 # ---------------------------------------------------------------------------

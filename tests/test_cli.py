@@ -3,9 +3,12 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import klrlab
 from klrlab.cache import ResultCache, default_cache_dir
 from klrlab.cli import main
 
@@ -25,6 +28,20 @@ def run_json(capsys, argv):
 def test_gt_enum_pinned(capsys):
     code, doc, _ = run_json(capsys, ["gt", "enum", "--partition", "2,1,0"])
     assert code == 0
+    assert len(doc) == 8
+    assert [[2, 1, 0], [2, 1], [2]] in doc
+
+
+def test_python_m_klrlab_runs_the_command():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(klrlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "klrlab", "gt", "enum", "--partition", "2,1,0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
     assert len(doc) == 8
     assert [[2, 1, 0], [2, 1], [2]] in doc
 

@@ -27,8 +27,23 @@ from klrlab.cyclo import (
     tilde_kernel_test,
     weyl_vanishing_check,
 )
-from klrlab.cyclo import _Echelon, _RowSource, _basis_keys, _ideal_row_gen, _reduce_vec
-from klrlab.klr import KLRElement, KLRWord, SpecialIdempotentSpec, idempotent, multiply
+from klrlab.cyclo import (
+    _Echelon,
+    _RowSource,
+    _basis_keys,
+    _compatible_perms,
+    _compositions,
+    _ideal_row_gen,
+    _reduce_vec,
+)
+from klrlab.klr import (
+    KLRElement,
+    KLRWord,
+    SpecialIdempotentSpec,
+    canonical_terms,
+    idempotent,
+    multiply,
+)
 from klrlab.qint import LaurentPoly
 from klrlab.uqmod import gram_entry, weight_words
 
@@ -429,6 +444,87 @@ def test_echelon_reduce_matches_sorted_pivot_reduction(seq, delta):
     for vec in vecs:
         vec = {k: v for k, v in vec.items() if v}
         assert ech.reduce(vec) == sorted_pivot_reduce(ech.rows, vec)
+    int_reds = [ech.reduce({k: rng.randint(-3, 3) for k in keys}) for _ in range(20)]
+    assert any(int_reds)
+    assert all(type(v) is int for red in int_reds for v in red.values())
+
+
+def per_word_rows(ctx, bottom, top, delta, dcap, xcap):
+    """Reference ideal rows: rewrite every whole sandwich word, one per (compb, compa)."""
+    m = len(bottom)
+    lam_bottom = ctx.weight[bottom[0] - 1]
+    for key in _basis_keys(bottom, top, delta):
+        if key[0][0] >= lam_bottom:
+            yield {key: 1}
+    for mid in sorted(set(itertools.permutations(bottom))):
+        gpow = ctx.weight[mid[0] - 1]
+        for _, vb, cdb in _compatible_perms(bottom, mid):
+            for _, va, cda in _compatible_perms(mid, top):
+                rem = delta - 2 * gpow - cda - cdb
+                if rem < 0 or rem % 2:
+                    continue
+                for tb in range(rem // 2 + 1):
+                    ta = rem // 2 - tb
+                    if tb > xcap or ta > xcap:
+                        continue
+                    if abs(cdb + 2 * tb) > dcap or abs(cda + 2 * ta) > dcap:
+                        continue
+                    for compb in _compositions(tb, m):
+                        for compa in _compositions(ta, m):
+                            ops = [("dot", p + 1) for p in range(m) for _ in range(compb[p])]
+                            ops += [("cross", g) for g in vb] + [("dot", 1)] * gpow
+                            ops += [("dot", p + 1) for p in range(m) for _ in range(compa[p])]
+                            ops += [("cross", g) for g in va]
+                            _, terms = canonical_terms(KLRWord(ctx.rank, bottom, ops))
+                            if terms:
+                                yield dict(terms)
+
+
+ROW_PIECES = (
+    [((3, 0), (1, 1, 1, 1), (1, 1, 1, 1), 0, 14121)]
+    + [((2, 1, 0), (1, 2, 1, 2), (1, 2, 2, 1), d, None) for d in range(-4, 5)]
+    + [((2, 1, 0), (1, 1, 2), (1, 2, 1), d, None) for d in range(-4, 5)]
+    + [((2, 0, 0), (1, 1, 2, 2), (1, 2, 1, 2), 3, None)]
+)
+
+
+@pytest.mark.parametrize("lam, bottom, top, delta, limit", ROW_PIECES)
+def test_ideal_rows_match_the_per_word_rewrite(lam, bottom, top, delta, limit):
+    """One rewrite per sandwich middle, shifted for every bottom dot exponent, yields the
+    same rows in the same order (keys included) as rewriting every whole word.  The
+    (3,0) piece is cut at the 14,121 rows the criterion-8 anchor feeds."""
+    ctx = make_context(Partition(lam))
+    caps = (ctx.degree_cap, ctx.dot_cap)
+    got = _ideal_row_gen(ctx, bottom, top, delta, *caps, _RowSource(None))
+    want = per_word_rows(ctx, bottom, top, delta, *caps)
+    got, want = list(itertools.islice(got, limit)), list(itertools.islice(want, limit))
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+    if limit is not None:
+        assert len(got) == limit
+
+
+def test_anchor_echelon_stays_in_ints():
+    ctx = make_context(Partition((3, 0)))
+    red, status = cyc_reduce(idempotent(1, (1, 1, 1, 1)), ctx)
+    assert red.is_zero() and status == EXACT
+    ((_, state),) = ctx.states.items()
+    ech = state["ech"]
+    assert (state["fed"], ech.rank()) == (14121, 575)
+    assert all(type(v) is int for row in ech.rows.values() for v in row.values())
+
+
+def test_non_unit_pivot_row_is_stored_exactly():
+    a, b, c = ((0,), (1,)), ((1,), ()), ((2,), ())
+    ech = _Echelon()
+    assert ech.insert({c: -1, a: 3}) == c
+    assert ech.rows[c] == {c: 1, a: -3} and all(type(v) is int for v in ech.rows[c].values())
+    assert ech.insert({b: 2, a: 3}) == b
+    row = ech.rows[b]
+    assert row == {b: 1, a: Fraction(3, 2)}
+    assert type(row[b]) is int and type(row[a]) is Fraction
+    assert ech.insert({b: 4, c: 2, a: 1}) == a
+    assert ech.rows == {c: {c: 1}, b: {b: 1}, a: {a: 1}}
+    assert all(type(v) is int for row in ech.rows.values() for v in row.values())
 
 
 def test_kept_remainder_matches_a_fresh_reduction_after_every_row():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from klrlab.qint import (
     LaurentFrac,
     LaurentPoly,
+    _dense_divexact,
     _dense_gcd,
     laurent_divexact,
     matrix_rank,
@@ -151,6 +152,32 @@ def test_fraction_over_a_monomial(a, c, k):
     for _, v in f.num.items():
         content = math.gcd(content, v)
     assert math.gcd(content, f.den.at_one()) == 1
+
+
+def dense_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+coeffs = st.lists(st.integers(min_value=-9, max_value=9), max_size=5)
+non_unit = st.integers(min_value=-9, max_value=9).filter(lambda c: abs(c) > 1)
+
+
+@given(coeffs.filter(any), coeffs, non_unit)
+def test_dense_divexact_by_a_non_monic_divisor(f, g_low, lead):
+    g = g_low + [lead]
+    q = _dense_divexact(dense_mul(f, g), g)
+    assert q == f and all(type(v) is int for v in q)
+
+
+def test_dense_divexact_rejects_inexact_quotients():
+    with pytest.raises(ArithmeticError):
+        _dense_divexact([2, 2], [4, 4])  # (2 + 2q) / (4 + 4q) = 1/2
+    with pytest.raises(ArithmeticError):
+        _dense_divexact([1, 0, 1], [1, 1])  # 1 + q^2 = (q - 1)(1 + q) + 2
 
 
 def test_laurent_divexact():
