@@ -383,8 +383,15 @@ def _add_output_flags(p):
 
 
 def _add_cap_flags(p):
-    p.add_argument("--deg-cap", type=int, default=None)
-    p.add_argument("--dot-cap", type=int, default=None)
+    p.add_argument(
+        "--deg-cap", type=int, default=None,
+        help="highest degree computed; a piece above it makes the result capped",
+    )
+    p.add_argument(
+        "--dot-cap", type=int, default=None,
+        help="accepted (must be >= 1) and kept in cache keys, but ignored: every graded"
+        " piece is computed in full",
+    )
     p.add_argument("--require-exact", action="store_true")
 
 

@@ -1,5 +1,6 @@
-"""Cyclotomic quotients: capped ideal elimination, graded Hom dimensions, branching
-projections, and Gelfand-Tsetlin idempotents."""
+"""Cyclotomic quotients: exact elimination against rows that span each graded piece of
+the ideal, graded Hom dimensions, branching projections, and Gelfand-Tsetlin
+idempotents.  Only the degree cap bounds the work; a dot cap is accepted and ignored."""
 
 import itertools
 from fractions import Fraction
@@ -188,13 +189,18 @@ def _axpy(out, c, row):
 
 
 class _RowSource:
-    """Lazily materialized, replayable stream of ideal spanning rows for one graded piece."""
+    """Lazily materialized, replayable stream of ideal spanning rows for one graded piece.
+
+    `capped` is always False: the rows of a piece are never cut.  It is kept only for
+    readers of the old per-source flag (the benchmark tracer counts capped sources).
+    """
+
+    capped = False
 
     def __init__(self, gen):
         self._gen = gen
         self.rows = []
         self.exhausted = False
-        self.capped = False
 
     def get(self, idx):
         while len(self.rows) <= idx and not self.exhausted:
@@ -208,7 +214,11 @@ class _RowSource:
 
 
 class CycContext:
-    """A cyclotomic quotient workspace: the defining partition, caps, and warm memo state."""
+    """A cyclotomic quotient workspace: the defining partition, caps, and warm memo state.
+
+    Only `degree_cap` bounds the work.  `dot_cap` is validated and kept because the CLI's
+    cache keys hold it, but no computation reads it.
+    """
 
     def __init__(self, lam, degree_cap, dot_cap):
         if not isinstance(lam, Partition):
@@ -241,22 +251,36 @@ class CycContext:
 
 
 def make_context(lam, degree_cap=16, dot_cap=None):
-    """Build a quotient context; dot_cap defaults to the box count plus the largest weight entry."""
+    """Build a quotient context; dot_cap (unused) defaults to the box count plus the largest
+    weight entry."""
     return CycContext(lam, degree_cap, dot_cap)
 
 
-def _ideal_row_gen(ctx, bottom, top, delta, dcap, xcap, source):
-    """Yield spanning vectors of the two-sided ideal piece between two boundaries.
+def _ideal_row_gen(ctx, bottom, top, delta):
+    """Yield rows that span the two-sided ideal piece e(bottom) I e(top) of one degree over Z.
 
-    Rows come as canonical-term dicts.  Unit rows for words already carrying the full
-    dot power on the leftmost strand come first; then every sandwich
-    x^compb * psi_vb * x_1^gpow * x^compa * psi_va of a dotted leftmost-strand generator
-    between canonical words on either side, within caps.  The canonical form keeps dots
-    at the bottom, so the dots x^compb underneath only add compb to the exponents of
-    every key of the middle's canonical dict; that map on keys is injective, so nothing
-    cancels.  Each middle is therefore rewritten once per compa and then shifted for
-    every compb, giving the same rows, in the same order (compb outer, compa inner), as
-    rewriting each whole word.
+    Rows come as canonical-term dicts; products are written in the order the ops are
+    read, bottom to top.  Unit rows for words already carrying the full dot power on the
+    leftmost strand come first (each is x_1^gpow e(bottom) times a word, so it lies in
+    the ideal); then, for every middle boundary `mid`, the rows
+    psi_vb * x_1^gpow * x^compa * psi_va, where psi_va runs over every permutation from
+    mid to top, x^compa over every dot exponent that fills the degree, and psi_vb over
+    the m minimal coset representatives of S_m / (S_1 x S_{m-1}) from bottom to mid:
+    the strands that do not end at slot 1 of mid keep their order.
+
+    Why these span.  The piece is the sum over mid of
+    e(bottom) R e(mid) * x_1^gpow e(mid) * e(mid) R e(top).  The left factor is spanned
+    over Z by psi_w x^c with the dots at the mid end, for any choice of a reduced word of
+    each w: two reduced words of one w give elements that differ by terms psi_w' x^c'
+    with l(w') < l(w), so by induction on length any choice spans once one does.  Factor
+    w = u * v with u a minimal coset representative and v in S_1 x S_{m-1} at the mid end,
+    and take as the reduced word of w the word of u followed by a reduced word of v.
+    Then psi_w x^c = psi_u * psi_v x^c, and psi_v x^c involves only dots and
+    psi_2 ... psi_{m-1}, which all commute with x_1^gpow; moved across the generator
+    (which does not change the label at slot 1, so gpow is the same), psi_v x^c joins the
+    right factor, and that is spanned over Z by x^compa psi_va.  So neither bottom dots
+    nor the other coset elements are needed.  A graded piece is finite, so its rows are
+    never cut.
     """
     m = len(bottom)
     if m == 0 or ctx.rank == 0:
@@ -266,50 +290,34 @@ def _ideal_row_gen(ctx, bottom, top, delta, dcap, xcap, source):
     for key in _basis_keys(bottom, top, delta):
         if key[0][0] >= lam_bottom:
             yield {key: 1}
-    mids = sorted(set(itertools.permutations(bottom)))
-    for mid in mids:
+    for mid in sorted(set(itertools.permutations(bottom))):
         gpow = ctx.weight[mid[0] - 1]
-        gdeg = 2 * gpow
-        for _, vb, cdb in _compatible_perms(bottom, mid):
+        for perm, vb, cdb in _compatible_perms(bottom, mid):
+            rest = [p for p in perm if p != 1]
+            if rest != sorted(rest):
+                continue
             for _, va, cda in _compatible_perms(mid, top):
-                rem = delta - gdeg - cda - cdb
+                rem = delta - 2 * gpow - cda - cdb
                 if rem < 0 or rem % 2:
                     continue
-                budget = rem // 2
-                for tb in range(budget + 1):
-                    ta = budget - tb
-                    if tb > xcap or ta > xcap:
-                        source.capped = True
-                        continue
-                    if abs(cdb + 2 * tb) > dcap or abs(cda + 2 * ta) > dcap:
-                        source.capped = True
-                        continue
-                    middles = []
-                    for compa in _compositions(ta, m):
-                        ops = [("cross", g) for g in vb]
-                        ops.extend(("dot", 1) for _ in range(gpow))
-                        ops.extend(("dot", p + 1) for p in range(m) for _ in range(compa[p]))
-                        ops.extend(("cross", g) for g in va)
-                        _, terms = canonical_terms(KLRWord(rank, bottom, ops))
-                        if terms:
-                            middles.append(terms)
-                    for compb in _compositions(tb, m):
-                        for terms in middles:
-                            yield {
-                                (tuple(e + d for e, d in zip(exps, compb)), word): c
-                                for (exps, word), c in terms.items()
-                            }
+                for compa in _compositions(rem // 2, m):
+                    ops = [("cross", g) for g in vb]
+                    ops.extend(("dot", 1) for _ in range(gpow))
+                    ops.extend(("dot", p + 1) for p in range(m) for _ in range(compa[p]))
+                    ops.extend(("cross", g) for g in va)
+                    _, terms = canonical_terms(KLRWord(rank, bottom, ops))
+                    if terms:
+                        yield terms
 
 
-def _get_state(ctx, bottom, top, delta, dcap, xcap, extra_rows=None, tag=None):
-    key = (bottom, top, delta, dcap, xcap, tag)
+def _get_state(ctx, bottom, top, delta, extra_rows=None, tag=None):
+    key = (bottom, top, delta, tag)
     state = ctx.states.get(key)
     if state is None:
-        source_key = (bottom, top, delta, dcap, xcap)
+        source_key = (bottom, top, delta)
         source = ctx.sources.get(source_key)
         if source is None:
-            source = _RowSource(None)
-            source._gen = _ideal_row_gen(ctx, bottom, top, delta, dcap, xcap, source)
+            source = _RowSource(_ideal_row_gen(ctx, bottom, top, delta))
             ctx.sources[source_key] = source
         ech = _Echelon()
         if extra_rows:
@@ -324,29 +332,28 @@ def _feed_until(state, stop, on_insert=None):
     """Feed spanning rows into the echelon until `stop(ech)` or the source runs dry.
 
     `stop` is tested before each row; `on_insert(ech, pivot)` runs after each row that
-    raised the rank.  Returns whether `stop` was met.
+    raised the rank.
     """
     ech = state["ech"]
     source = state["source"]
     while not stop(ech):
         row = source.get(state["fed"])
         if row is None:
-            return False
+            return
         state["fed"] += 1
         pivot = ech.insert(row)
         if pivot is not None and on_insert is not None:
             on_insert(ech, pivot)
-    return True
 
 
-def _reduce_vec(ctx, bottom, top, delta, dcap, xcap, vec, tag=None, extra_rows=None):
+def _reduce_vec(ctx, bottom, top, delta, vec, tag=None, extra_rows=None):
     """Remainder of `vec` modulo the ideal piece, feeding rows until it vanishes.
 
     The remainder is reduced once, then kept reduced as rows come in: a new pivot p
     needs only `rem -= rem[p] * row_p`, since every older row is zero at p and the new
     row is zero at every older pivot.
     """
-    state = _get_state(ctx, bottom, top, delta, dcap, xcap, extra_rows=extra_rows, tag=tag)
+    state = _get_state(ctx, bottom, top, delta, extra_rows=extra_rows, tag=tag)
     remainder = state["ech"].reduce(vec)
 
     def on_insert(ech, pivot):
@@ -354,26 +361,25 @@ def _reduce_vec(ctx, bottom, top, delta, dcap, xcap, vec, tag=None, extra_rows=N
         if c:
             _axpy(remainder, -c, ech.rows[pivot])
 
-    if _feed_until(state, lambda ech: not remainder, on_insert):
-        return {}, False
-    return remainder, state["source"].capped
+    _feed_until(state, lambda ech: not remainder, on_insert)
+    return remainder
 
 
-def _rank_dim(ctx, bottom, top, delta, dcap, xcap, tag=None, extra_rows=None):
+def _rank_dim(ctx, bottom, top, delta, tag=None, extra_rows=None):
+    """Dimension of one graded piece of the quotient."""
     nbasis = len(_basis_keys(bottom, top, delta))
-    state = _get_state(ctx, bottom, top, delta, dcap, xcap, extra_rows=extra_rows, tag=tag)
+    state = _get_state(ctx, bottom, top, delta, extra_rows=extra_rows, tag=tag)
     _feed_until(state, lambda ech: ech.rank() >= nbasis)
-    dim = nbasis - state["ech"].rank()
-    complete = dim == 0 or not state["source"].capped
-    return dim, complete
+    return nbasis - state["ech"].rank()
 
 
 def cyc_reduce(x, ctx):
     """Reduce an element modulo the cyclotomic ideal, one graded piece at a time.
 
-    Returns (element, status).  A zero remainder is an exact membership certificate;
-    otherwise the piece is exact when the spanning enumeration was complete under the
-    caps, or when one extra cap step leaves the remainder unchanged.
+    Returns (element, status).  Each piece's rows span its ideal piece, so the remainder
+    is the unique normal form of the piece modulo the ideal: zero is a membership
+    certificate and a nonzero remainder is certified too.  Only a piece above
+    `ctx.degree_cap` is left unreduced, and then the status is capped.
     """
     if isinstance(x, KLRWord):
         x = KLRElement(x.rank, {x: 1})
@@ -399,26 +405,16 @@ def cyc_reduce(x, ctx):
             out.update(vec)
             status = CAPPED
             continue
-        r1, capped1 = _reduce_vec(ctx, bottom, top, delta, ctx.degree_cap, ctx.dot_cap, vec)
-        if not r1:
-            continue
-        if not capped1:
-            out.update(r1)
-            continue
-        r2, _ = _reduce_vec(
-            ctx, bottom, top, delta, ctx.degree_cap + 1, ctx.dot_cap + 1, vec
-        )
-        out.update(r2)
-        if r2 != r1:
-            status = CAPPED
+        out.update(_reduce_vec(ctx, bottom, top, delta, vec))
     return element_from_canonical(ctx.rank, bottom, out), status
 
 
 def gdim_hom(e, e2, ctx):
     """Graded dimension of the Hom space between two idempotents in the quotient.
 
-    Sweeps degrees from the least crossing degree until the top two computed degrees
-    vanish, or the degree cap is hit (then the status is capped).
+    Each degree's dimension is exact (its rows span the ideal piece).  The sweep runs from
+    the least crossing degree until the top two computed degrees vanish, or the degree
+    cap is hit (then the status is capped).
     """
     e = tuple(int(v) for v in e)
     e2 = tuple(int(v) for v in e2)
@@ -431,24 +427,14 @@ def gdim_hom(e, e2, ctx):
         return LaurentPoly.zero(), EXACT
     dmin = min(cd for _, _, cd in compat)
     dims = {}
-    status = EXACT
     delta = dmin
-    stabilized = False
     while delta <= ctx.degree_cap:
-        dim, complete = _rank_dim(ctx, e, e2, delta, ctx.degree_cap, ctx.dot_cap)
-        if not complete:
-            dim2, _ = _rank_dim(
-                ctx, e, e2, delta, ctx.degree_cap + 1, ctx.dot_cap + 1
-            )
-            if dim2 != dim:
-                status = CAPPED
-            dim = dim2
-        dims[delta] = dim
+        dims[delta] = _rank_dim(ctx, e, e2, delta)
         if delta >= dmin + 1 and dims[delta] == 0 and dims[delta - 1] == 0:
-            stabilized = True
+            status = EXACT
             break
         delta += 1
-    if not stabilized:
+    else:
         status = CAPPED
     return LaurentPoly({d: v for d, v in dims.items() if v}), status
 
@@ -663,11 +649,7 @@ def _tilde_gdim_zero(ctx, g1, g2):
     tag = ("tilde", g1.sequence, g1.layers, g2.sequence, g2.layers)
     for delta in range(dmin, ctx.degree_cap + 1):
         extra = _tilde_killed_rows(ctx, g1, g2, delta)
-        dim, complete = _rank_dim(
-            ctx, bottom, top, delta, ctx.degree_cap, ctx.dot_cap, tag=tag + (delta,),
-            extra_rows=extra,
-        )
-        if dim != 0 or not complete:
+        if _rank_dim(ctx, bottom, top, delta, tag=tag + (delta,), extra_rows=extra):
             return False
         if delta >= dmin + 3:
             return True
@@ -675,7 +657,7 @@ def _tilde_gdim_zero(ctx, g1, g2):
 
 
 def gt_orthogonality_check(lam, degree_cap=None, dot_cap=None):
-    """Hom spaces between distinct pattern idempotents all vanish under the caps."""
+    """Hom spaces between distinct pattern idempotents all vanish under the degree cap."""
     from .combi import enumerate_gt_patterns
 
     if not isinstance(lam, Partition):
