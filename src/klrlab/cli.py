@@ -83,6 +83,13 @@ def cap_kwargs(args):
     return out
 
 
+def hom_cache_key(command, lam, e, e2, ctx):
+    """The cache key of a Hom command.  No computation reads the dot cap, so the key holds
+    the default one whatever `--dot-cap` says: every value shares the entry written
+    without the flag."""
+    return [command, list(lam), list(e), list(e2), ctx.degree_cap, make_context(lam).dot_cap]
+
+
 def fetch_cached(args, key, compute):
     """The cached payload for key, computed and stored on a miss; a cache that cannot be
     written is a usage error."""
@@ -276,7 +283,7 @@ def cmd_cyc_gdim(args):
     e2 = parse_labels(args.seq2) if args.seq2 is not None else e
     ctx = make_context(lam, **cap_kwargs(args))
     check_labels(e + e2, ctx.rank)
-    key = ["cyc gdim", list(lam), list(e), list(e2), ctx.degree_cap, ctx.dot_cap]
+    key = hom_cache_key("cyc gdim", lam, e, e2, ctx)
 
     def compute():
         poly, status = gdim_hom(e, e2, ctx)
@@ -294,7 +301,7 @@ def cmd_cyc_compare(args):
     ctx = make_context(lam, **cap_kwargs(args))
     check_labels(e + e2, ctx.rank)
     hw = weight_of_partition(lam).entries
-    key = ["cyc compare", list(lam), list(e), list(e2), ctx.degree_cap, ctx.dot_cap]
+    key = hom_cache_key("cyc compare", lam, e, e2, ctx)
 
     def compute():
         poly, status = gdim_hom(e, e2, ctx)
@@ -340,7 +347,9 @@ def cmd_cyc_weyl_vanish(args):
 def cmd_cyc_gt_ortho(args):
     lam = parse_partition(args.partition)
     deg_cap = cap_kwargs(args).get("degree_cap", 2 * lam.size() + 4)
-    key = ["cyc gt-ortho", list(lam), deg_cap, args.dot_cap]
+    # None where the dot cap was: no computation reads it, and entries written without
+    # the flag keep their key.
+    key = ["cyc gt-ortho", list(lam), deg_cap, None]
 
     def compute():
         ok = gt_orthogonality_check(lam, degree_cap=deg_cap, dot_cap=args.dot_cap)
@@ -389,8 +398,8 @@ def _add_cap_flags(p):
     )
     p.add_argument(
         "--dot-cap", type=int, default=None,
-        help="accepted (must be >= 1) and kept in cache keys, but ignored: every graded"
-        " piece is computed in full",
+        help="accepted (must be >= 1) but ignored: every graded piece is computed in"
+        " full, so a result is cached once for every value",
     )
     p.add_argument("--require-exact", action="store_true")
 

@@ -16,7 +16,7 @@ from .klr import (
     idempotent,
     normal_form,
 )
-from .klr import _perm_of, _word_from_canonical
+from .klr import _mult_gen, _perm_of, _word_from_canonical
 from .qint import LaurentPoly
 
 __all__ = [
@@ -137,12 +137,20 @@ class _Echelon:
     the others.  Because of that invariant, clearing one pivot of a vector never changes
     its entry at another, so `reduce` clears the pivots a vector meets in any order, in
     one pass, and the result is the unique normal form of the vector modulo the row span.
+
+    `cols` is a column index for that back-substitution: it maps a key to a set of pivots
+    that holds every stored row with a nonzero entry at the key (other than its own
+    pivot).  The set may also hold stale pivots, whose row has since cancelled the key,
+    so each is checked with `row.get`; only a row's new keys are added.  Once a key is a
+    pivot, back-substitution clears it from every other row and no later row holds it
+    (later rows are reduced first), so its column is popped when its row is inserted.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "cols")
 
     def __init__(self):
         self.rows = {}
+        self.cols = {}
 
     def reduce(self, vec):
         out = dict(vec)
@@ -162,11 +170,30 @@ class _Echelon:
             r = {k: -v for k, v in r.items()}
         elif lead != 1:
             r = {k: _integral(Fraction(v, lead)) for k, v in r.items()}
-        for row in self.rows.values():
+        rows = self.rows
+        cols = self.cols
+        for k in r:
+            if k != pivot:
+                holders = cols.get(k)
+                if holders is None:
+                    cols[k] = {pivot}
+                else:
+                    holders.add(pivot)
+        for p in cols.pop(pivot, ()):
+            row = rows[p]
             c = row.get(pivot)
-            if c:
-                _axpy(row, -c, r)
-        self.rows[pivot] = r
+            if not c:
+                continue
+            for k, v in r.items():
+                old = row.get(k)
+                nv = -c * v if old is None else old - c * v
+                if nv:
+                    row[k] = nv if type(nv) is int else _integral(nv)
+                    if old is None:
+                        cols[k].add(p)
+                else:
+                    row.pop(k, None)
+        rows[pivot] = r
         return pivot
 
     def rank(self):
@@ -217,7 +244,7 @@ class CycContext:
     """A cyclotomic quotient workspace: the defining partition, caps, and warm memo state.
 
     Only `degree_cap` bounds the work.  `dot_cap` is validated and kept because the CLI's
-    cache keys hold it, but no computation reads it.
+    cache keys hold its default value, but no computation reads it.
     """
 
     def __init__(self, lam, degree_cap, dot_cap):
@@ -281,31 +308,37 @@ def _ideal_row_gen(ctx, bottom, top, delta):
     right factor, and that is spanned over Z by x^compa psi_va.  So neither bottom dots
     nor the other coset elements are needed.  A graded piece is finite, so its rows are
     never cut.
+
+    How a row is built.  va is the lexmin reduced word of its permutation
+    (`_compatible_perms`), and dots sit below crossings in a canonical key, so
+    x_1^gpow * x^compa * psi_va over mid is already canonical: the single key
+    ((compa_1 + gpow, compa_2, ...), va) with coefficient 1, the dict that rewriting the
+    whole word would reach after its dots.  Only vb's crossings are left to multiply in
+    underneath, one `_mult_gen` each, exactly as `canonical_terms` would for those ops,
+    so the row is the same dict, in the same key order.
     """
     m = len(bottom)
     if m == 0 or ctx.rank == 0:
         return
-    rank = ctx.rank
     lam_bottom = ctx.weight[bottom[0] - 1]
     for key in _basis_keys(bottom, top, delta):
         if key[0][0] >= lam_bottom:
             yield {key: 1}
     for mid in sorted(set(itertools.permutations(bottom))):
         gpow = ctx.weight[mid[0] - 1]
+        above = _compatible_perms(mid, top)
         for perm, vb, cdb in _compatible_perms(bottom, mid):
             rest = [p for p in perm if p != 1]
             if rest != sorted(rest):
                 continue
-            for _, va, cda in _compatible_perms(mid, top):
+            for _, va, cda in above:
                 rem = delta - 2 * gpow - cda - cdb
                 if rem < 0 or rem % 2:
                     continue
                 for compa in _compositions(rem // 2, m):
-                    ops = [("cross", g) for g in vb]
-                    ops.extend(("dot", 1) for _ in range(gpow))
-                    ops.extend(("dot", p + 1) for p in range(m) for _ in range(compa[p]))
-                    ops.extend(("cross", g) for g in va)
-                    _, terms = canonical_terms(KLRWord(rank, bottom, ops))
+                    b, terms = mid, {((compa[0] + gpow,) + compa[1:], va): 1}
+                    for g in reversed(vb):
+                        b, terms = _mult_gen(b, terms, "cross", g)
                     if terms:
                         yield terms
 

@@ -129,6 +129,19 @@ class KLRWord:
         return f"KLRWord(rank={self.rank}, bottom={self.bottom}, ops={list(self.ops)})"
 
 
+def _coeff_from_json(c):
+    """An int (not a bool), or a [numerator, denominator] pair of them with a nonzero
+    denominator."""
+    if type(c) is int:
+        return c
+    if isinstance(c, list) and len(c) == 2 and all(type(v) is int for v in c) and c[1]:
+        return Fraction(c[0], c[1])
+    raise ValueError(
+        f"bad coefficient {c!r}: expected an integer or a [numerator, denominator] pair"
+        " of integers with a nonzero denominator"
+    )
+
+
 def idempotent(rank, bottom):
     """The identity diagram on a label sequence, as an element."""
     return KLRElement(rank, {KLRWord(rank, bottom): 1})
@@ -209,9 +222,7 @@ class KLRElement:
     def from_json(cls, data):
         terms = {}
         for t in data["terms"]:
-            c = t["coeff"]
-            if isinstance(c, list):
-                c = Fraction(c[0], c[1])
+            c = _coeff_from_json(t["coeff"])
             w = KLRWord.from_json(t["word"])
             terms[w] = terms.get(w, 0) + c
         return cls(data["rank"], terms)

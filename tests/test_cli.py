@@ -75,6 +75,12 @@ RANK2_ELEMENT = (
     ' "word": {"rank": 2, "bottom": [%d], "ops": []}}]}'
 )
 
+# One rank-1 strand, with its coefficient filled in by %s.
+COEFF_ELEMENT = (
+    '{"rank": 1, "terms": [{"coeff": %s,'
+    ' "word": {"rank": 1, "bottom": [1], "ops": []}}]}'
+)
+
 # Stands for an empty regular file made under tmp_path, given where a directory is needed.
 PLAIN_FILE = "<plain file>"
 
@@ -106,6 +112,9 @@ PLAIN_FILE = "<plain file>"
             ["oracle", "gram", "--partition", "2,1,0", "--beta", "1,0", "--cache-dir", PLAIN_FILE],
             "",
         ),
+        (["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "1.5"),
+        (["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "[1, 0]"),
+        (["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "true"),
     ],
 )
 def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):
@@ -205,6 +214,30 @@ def test_cyc_gdim_cache_roundtrip(tmp_path, capsys):
     entries[0].write_text(json.dumps(record))
     code, out3, _ = run(capsys, argv)
     assert code == 0 and out3 == out1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cyc", "gdim", "--partition", "2,0", "--seq", "1"],
+        ["cyc", "compare", "--partition", "2,1,0", "--seq", "1,2", "--seq2", "1,2"],
+        ["cyc", "gt-ortho", "--partition", "1,0"],
+    ],
+)
+def test_dot_cap_shares_the_cache_entry(argv, tmp_path, capsys, monkeypatch):
+    """No computation reads the dot cap, so a run with --dot-cap hits the entry that the
+    run without it wrote."""
+    argv = argv + ["--cache-dir", str(tmp_path)]
+    code, out1, _ = run(capsys, argv)
+    assert code == 0 and len(list(tmp_path.iterdir())) == 1
+
+    def miss(*args, **kwargs):
+        raise AssertionError("recomputed a cached result")
+
+    monkeypatch.setattr("klrlab.cli.gdim_hom", miss)
+    monkeypatch.setattr("klrlab.cli.gt_orthogonality_check", miss)
+    code, out2, _ = run(capsys, argv + ["--dot-cap", "1"])
+    assert code == 0 and out2 == out1 and len(list(tmp_path.iterdir())) == 1
 
 
 def test_cyc_sl2_vanish(capsys):
