@@ -5,7 +5,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .cache import ResultCache
 from .combi import Partition, enumerate_gt_patterns, schur_weights, weight_of_partition
@@ -20,7 +19,15 @@ from .cyclo import (
     sl2_vanishing_check,
     weyl_vanishing_check,
 )
-from .klr import KLRElement, KLRWord, factor_general, idempotent, multiply, normal_form
+from .klr import (
+    KLRElement,
+    KLRWord,
+    coeff_to_json,
+    factor_general,
+    idempotent,
+    multiply,
+    normal_form,
+)
 from .uqmod import branching_character_check, gram_entry, shapovalov_gram
 
 
@@ -73,21 +80,18 @@ def parse_beta(text):
 
 
 def cap_kwargs(args):
-    out = {}
-    for flag, name in (("deg_cap", "degree_cap"), ("dot_cap", "dot_cap")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            if value < 1:
-                raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
-            out[name] = value
-    return out
+    """The degree cap as keyword arguments; `--dot-cap` is validated, then ignored."""
+    for flag, value in (("--deg-cap", args.deg_cap), ("--dot-cap", args.dot_cap)):
+        if value is not None and value < 1:
+            raise UsageError(f"{flag} must be >= 1")
+    return {} if args.deg_cap is None else {"degree_cap": args.deg_cap}
 
 
 def hom_cache_key(command, lam, e, e2, ctx):
-    """The cache key of a Hom command.  No computation reads the dot cap, so the key holds
-    the default one whatever `--dot-cap` says: every value shares the entry written
-    without the flag."""
-    return [command, list(lam), list(e), list(e2), ctx.degree_cap, make_context(lam).dot_cap]
+    """The cache key of a Hom command.  Its last field is the dot cap the library used to
+    default to, whatever `--dot-cap` says, so that entries written before keep their key."""
+    dot_cap = max(1, lam.size() + max(ctx.weight, default=0))
+    return [command, list(lam), list(e), list(e2), ctx.degree_cap, dot_cap]
 
 
 def fetch_cached(args, key, compute):
@@ -115,12 +119,6 @@ def load_element(args):
         return KLRElement.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad element document: {exc}") from None
-
-
-def coeff_json(c):
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return [c.numerator, c.denominator]
-    return int(c)
 
 
 def payload_to_csv(payload):
@@ -245,7 +243,7 @@ def cmd_klr_factor(args):
         acc = acc + multiply(KLRElement(rank, {left: coeff}), multiply(mid, right))
         rows.append(
             {
-                "coeff": coeff_json(coeff),
+                "coeff": coeff_to_json(coeff),
                 "left": left.to_json(),
                 "middle": spec.to_json(),
                 "right": right.to_json(),
@@ -352,7 +350,7 @@ def cmd_cyc_gt_ortho(args):
     key = ["cyc gt-ortho", list(lam), deg_cap, None]
 
     def compute():
-        ok = gt_orthogonality_check(lam, degree_cap=deg_cap, dot_cap=args.dot_cap)
+        ok = gt_orthogonality_check(lam, degree_cap=deg_cap)
         return {
             "lambda": list(lam),
             "patterns": len(enumerate_gt_patterns(lam)),

@@ -1,7 +1,8 @@
 """Cyclotomic quotients: exact elimination against rows that span each graded piece of
 the ideal, graded Hom dimensions, branching projections, and Gelfand-Tsetlin
-idempotents.  Only the degree cap bounds the work; a dot cap is accepted and ignored."""
+idempotents.  Only the degree cap bounds the work."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from .klr import (
     idempotent,
     normal_form,
 )
-from .klr import _mult_gen, _perm_of, _word_from_canonical
+from .klr import _lexmin, _mult_gen, _perm_of, _word_from_canonical
 from .qint import LaurentPoly
 
 __all__ = [
@@ -42,29 +43,19 @@ __all__ = [
 EXACT = "exact"
 CAPPED = "capped"
 
-_compat_memo = {}
-_basis_memo = {}
-_comp_memo = {}
 
-
+@functools.cache
 def _compositions(total, slots):
     """All exponent tuples of the given length summing to total."""
-    key = (total, slots)
-    got = _comp_memo.get(key)
-    if got is not None:
-        return got
     if slots == 0:
-        out = ((),) if total == 0 else ()
-    elif slots == 1:
-        out = ((total,),)
-    else:
-        acc = []
-        for first in range(total, -1, -1):
-            for rest in _compositions(total - first, slots - 1):
-                acc.append((first,) + rest)
-        out = tuple(acc)
-    _comp_memo[key] = out
-    return out
+        return ((),) if total == 0 else ()
+    if slots == 1:
+        return ((total,),)
+    return tuple(
+        (first,) + rest
+        for first in range(total, -1, -1)
+        for rest in _compositions(total - first, slots - 1)
+    )
 
 
 def _cross_contrib(a, b):
@@ -75,15 +66,10 @@ def _cross_contrib(a, b):
     return 0
 
 
+@functools.cache
 def _compatible_perms(bottom, top):
     """All strand permutations carrying one boundary to the other, with their lexmin
     reduced words and crossing degrees."""
-    key = (bottom, top)
-    got = _compat_memo.get(key)
-    if got is not None:
-        return got
-    from .klr import _lexmin
-
     m = len(bottom)
     out = []
     for perm in itertools.permutations(range(1, m + 1)):
@@ -95,17 +81,12 @@ def _compatible_perms(bottom, top):
                 if perm[p] > perm[q]:
                     cd += _cross_contrib(bottom[p], bottom[q])
         out.append((perm, _lexmin(perm), cd))
-    out = tuple(out)
-    _compat_memo[key] = out
-    return out
+    return tuple(out)
 
 
+@functools.cache
 def _basis_keys(bottom, top, delta):
     """Canonical-word keys (dot exponents, crossing word) spanning one graded piece."""
-    key = (bottom, top, delta)
-    got = _basis_memo.get(key)
-    if got is not None:
-        return got
     m = len(bottom)
     keys = []
     for _, word, cd in _compatible_perms(bottom, top):
@@ -114,9 +95,7 @@ def _basis_keys(bottom, top, delta):
             continue
         for comp in _compositions(rem // 2, m):
             keys.append((comp, word))
-    keys = tuple(sorted(keys))
-    _basis_memo[key] = keys
-    return keys
+    return tuple(sorted(keys))
 
 
 def _key_degree(bottom, key):
@@ -241,13 +220,9 @@ class _RowSource:
 
 
 class CycContext:
-    """A cyclotomic quotient workspace: the defining partition, caps, and warm memo state.
+    """A cyclotomic quotient workspace: the partition, the degree cap, and warm memo state."""
 
-    Only `degree_cap` bounds the work.  `dot_cap` is validated and kept because the CLI's
-    cache keys hold its default value, but no computation reads it.
-    """
-
-    def __init__(self, lam, degree_cap, dot_cap):
+    def __init__(self, lam, degree_cap):
         if not isinstance(lam, Partition):
             lam = Partition(lam)
         if lam.part_count < 1:
@@ -260,27 +235,18 @@ class CycContext:
             self.weight = tuple(weight_of_partition(lam).entries)
         else:
             self.weight = ()
-        if dot_cap is None:
-            dot_cap = max(1, lam.size() + (max(self.weight) if self.weight else 0))
-        if dot_cap <= 0:
-            raise ValueError("dot_cap must be a positive integer")
         self.degree_cap = int(degree_cap)
-        self.dot_cap = int(dot_cap)
         self.sources = {}
         self.states = {}
         self.children = {}
 
     def __repr__(self):
-        return (
-            f"CycContext(lam={tuple(self.lam)}, degree_cap={self.degree_cap},"
-            f" dot_cap={self.dot_cap})"
-        )
+        return f"CycContext(lam={tuple(self.lam)}, degree_cap={self.degree_cap})"
 
 
-def make_context(lam, degree_cap=16, dot_cap=None):
-    """Build a quotient context; dot_cap (unused) defaults to the box count plus the largest
-    weight entry."""
-    return CycContext(lam, degree_cap, dot_cap)
+def make_context(lam, degree_cap=16):
+    """Build a quotient context."""
+    return CycContext(lam, degree_cap)
 
 
 def _ideal_row_gen(ctx, bottom, top, delta):
@@ -379,14 +345,14 @@ def _feed_until(state, stop, on_insert=None):
             on_insert(ech, pivot)
 
 
-def _reduce_vec(ctx, bottom, top, delta, vec, tag=None, extra_rows=None):
+def _reduce_vec(ctx, bottom, top, delta, vec):
     """Remainder of `vec` modulo the ideal piece, feeding rows until it vanishes.
 
     The remainder is reduced once, then kept reduced as rows come in: a new pivot p
     needs only `rem -= rem[p] * row_p`, since every older row is zero at p and the new
     row is zero at every older pivot.
     """
-    state = _get_state(ctx, bottom, top, delta, extra_rows=extra_rows, tag=tag)
+    state = _get_state(ctx, bottom, top, delta)
     remainder = state["ech"].reduce(vec)
 
     def on_insert(ech, pivot):
@@ -492,7 +458,7 @@ def branch_context(ctx, xi):
     child = ctx.children.get(rows)
     if child is None:
         target = xi_applied_partition(ctx.lam, rows)
-        child = CycContext(target, ctx.degree_cap, ctx.dot_cap)
+        child = CycContext(target, ctx.degree_cap)
         ctx.children[rows] = child
     return child
 
@@ -689,7 +655,7 @@ def _tilde_gdim_zero(ctx, g1, g2):
     return True
 
 
-def gt_orthogonality_check(lam, degree_cap=None, dot_cap=None):
+def gt_orthogonality_check(lam, degree_cap=None):
     """Hom spaces between distinct pattern idempotents all vanish under the degree cap."""
     from .combi import enumerate_gt_patterns
 
@@ -697,7 +663,7 @@ def gt_orthogonality_check(lam, degree_cap=None, dot_cap=None):
         lam = Partition(lam)
     if degree_cap is None:
         degree_cap = 2 * lam.size() + 4
-    ctx = make_context(lam, degree_cap, dot_cap)
+    ctx = make_context(lam, degree_cap)
     gts = [gt_idempotent(s) for s in enumerate_gt_patterns(lam)]
     for g1 in gts:
         for g2 in gts:
@@ -708,12 +674,12 @@ def gt_orthogonality_check(lam, degree_cap=None, dot_cap=None):
     return True
 
 
-def sl2_vanishing_check(lam1, degree_cap=8, dot_cap=None):
+def sl2_vanishing_check(lam1, degree_cap=8):
     """The idempotent on one strand more than the weight allows reduces to zero exactly."""
     lam1 = int(lam1)
     if lam1 < 0:
         raise ValueError("weight must be nonnegative")
-    ctx = make_context(Partition((lam1, 0)), degree_cap, dot_cap)
+    ctx = make_context(Partition((lam1, 0)), degree_cap)
     e = (1,) * (lam1 + 1)
     red, status = cyc_reduce(idempotent(1, e), ctx)
     return red.is_zero() and status == EXACT
@@ -730,7 +696,7 @@ def weyl_vanishing_check(idem, ctx):
     return red.is_zero() and status == EXACT
 
 
-def hom_record(ctx, e, e2, poly, status, qshift=0):
+def hom_record(ctx, e, e2, poly, status):
     """The JSON shape shared by the CLI commands that report graded dimensions."""
     return {
         "lambda": list(ctx.lam),
@@ -738,5 +704,5 @@ def hom_record(ctx, e, e2, poly, status, qshift=0):
         "right": [int(v) for v in e2],
         "gdim": poly.to_pairs(),
         "status": status,
-        "qshift": int(qshift),
+        "qshift": 0,
     }

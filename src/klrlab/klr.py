@@ -1,5 +1,6 @@
 """Diagram algebra for type A quiver Hecke relations: words, normal forms, products, factorizations."""
 
+import functools
 from fractions import Fraction
 
 __all__ = [
@@ -123,10 +124,28 @@ class KLRWord:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["rank"], data["bottom"], [(o["kind"], o["pos"]) for o in data["ops"]])
+        return cls(
+            _int_from_json(data["rank"], "rank"),
+            [_int_from_json(x, "label") for x in data["bottom"]],
+            [(o["kind"], _int_from_json(o["pos"], "op position")) for o in data["ops"]],
+        )
 
     def __repr__(self):
         return f"KLRWord(rank={self.rank}, bottom={self.bottom}, ops={list(self.ops)})"
+
+
+def _int_from_json(v, what):
+    """An int (not a bool, float or string) read from a document, or ValueError."""
+    if type(v) is not int:
+        raise ValueError(f"bad {what} {v!r}: expected an integer")
+    return v
+
+
+def coeff_to_json(c):
+    """An int coefficient, or a [numerator, denominator] pair for a non-integral Fraction."""
+    if isinstance(c, Fraction) and c.denominator != 1:
+        return [c.numerator, c.denominator]
+    return int(c)
 
 
 def _coeff_from_json(c):
@@ -211,11 +230,7 @@ class KLRElement:
     def to_json(self):
         out = []
         for w, c in sorted(self.terms.items(), key=lambda t: (t[0].bottom, t[0].ops)):
-            if isinstance(c, Fraction) and c.denominator != 1:
-                coeff = [c.numerator, c.denominator]
-            else:
-                coeff = int(c)
-            out.append({"coeff": coeff, "word": w.to_json()})
+            out.append({"coeff": coeff_to_json(c), "word": w.to_json()})
         return {"rank": self.rank, "terms": out}
 
     @classmethod
@@ -225,7 +240,7 @@ class KLRElement:
             c = _coeff_from_json(t["coeff"])
             w = KLRWord.from_json(t["word"])
             terms[w] = terms.get(w, 0) + c
-        return cls(data["rank"], terms)
+        return cls(_int_from_json(data["rank"], "rank"), terms)
 
     def __repr__(self):
         if not self.terms:
@@ -237,13 +252,9 @@ class KLRElement:
 # ---------------------------------------------------------------------------
 # rewriting engine on canonical terms (exponent tuple, reduced crossing word)
 
-_rewrite_steps = 0
-_lexmin_memo = {}
-_nf_cross_memo = {}
-
-
 def rewrite_step_count():
-    return _rewrite_steps
+    """Rewriting steps since `_nf_cross`'s cache was last cleared: each is one cache miss."""
+    return _nf_cross.cache_info().misses
 
 
 def _swapseq(seq, p):
@@ -280,11 +291,9 @@ def _apply_perm_word(v, seq):
     return tuple(out)
 
 
+@functools.cache
 def _lexmin(pi):
     """Lexicographically least reduced word for a permutation, read bottom to top."""
-    word = _lexmin_memo.get(pi)
-    if word is not None:
-        return word
     m = len(pi)
     out = []
     cur = pi
@@ -300,9 +309,7 @@ def _lexmin(pi):
         nxt = list(cur)
         nxt[d - 1], nxt[d] = nxt[d], nxt[d - 1]
         cur = tuple(nxt)
-    word = tuple(out)
-    _lexmin_memo[pi] = word
-    return word
+    return tuple(out)
 
 
 def _mkfirst(v, d, seq):
@@ -360,68 +367,57 @@ def _bump(acc, key, c):
         del acc[key]
 
 
+@functools.cache
 def _nf_cross(seq, v):
-    """Canonical form of a pure crossing word over a bottom sequence."""
-    key = (seq, v)
-    cached = _nf_cross_memo.get(key)
-    if cached is not None:
-        return cached
-    global _rewrite_steps
-    _rewrite_steps += 1
+    """Canonical form of a pure crossing word over a bottom sequence (a shared dict: callers
+    must not mutate it)."""
     m = len(seq)
     zero_exp = (0,) * m
     if not v:
-        res = {(zero_exp, ()): 1}
-        _nf_cross_memo[key] = res
-        return res
+        return {(zero_exp, ()): 1}
     pi = _perm_of(v, m)
     if _inversions(pi) == len(v):
         u = _lexmin(pi)
-        if u == v:
-            res = {(zero_exp, v): 1}
-        else:
-            acc = {(zero_exp, u): 1}
+        acc = {(zero_exp, u): 1}
+        if u != v:
             for s, w in _transform_to(v, u, seq):
                 for k2, c2 in _nf_cross(seq, w).items():
                     _bump(acc, k2, s * c2)
-            res = acc
+        return acc
+    # peel at the first non-reduced prefix: v[:j] is reduced, v[:j+1] is not
+    cur = list(range(1, m + 1))  # cur[slot-1] = starting position at that slot
+    j = None
+    for idx, p in enumerate(v):
+        # appending a crossing at p stays reduced iff the strand now at slot p
+        # started left of the one at slot p+1
+        if cur[p - 1] > cur[p]:
+            j = idx
+            break
+        cur[p - 1], cur[p] = cur[p], cur[p - 1]
+    t, p, rest = v[:j], v[j], v[j + 1 :]
+    tail, corrs = _mklast(t, p, seq)
+    mid = _apply_perm_word(tail, seq)
+    a, b = mid[p - 1], mid[p]
+    acc = {}
+    if a == b:
+        pass  # double crossing on equal labels is zero
+    elif abs(a - b) >= 2:
+        for k2, c2 in _nf_cross(seq, tail + rest).items():
+            _bump(acc, k2, c2)
     else:
-        # peel at the first non-reduced prefix: v[:j] is reduced, v[:j+1] is not
-        cur = list(range(1, m + 1))  # cur[slot-1] = starting position at that slot
-        j = None
-        for idx, p in enumerate(v):
-            # appending a crossing at p stays reduced iff the strand now at slot p
-            # started left of the one at slot p+1
-            if cur[p - 1] > cur[p]:
-                j = idx
-                break
-            cur[p - 1], cur[p] = cur[p], cur[p - 1]
-        t, p, rest = v[:j], v[j], v[j + 1 :]
-        tail, corrs = _mklast(t, p, seq)
-        mid = _apply_perm_word(tail, seq)
-        a, b = mid[p - 1], mid[p]
-        acc = {}
-        if a == b:
-            pass  # double crossing on equal labels is zero
-        elif abs(a - b) >= 2:
-            for k2, c2 in _nf_cross(seq, tail + rest).items():
+        # double crossing on adjacent labels opens into a dot on each strand
+        for dotpos in (p, p + 1):
+            ops = (
+                [("cross", g) for g in tail]
+                + [("dot", dotpos)]
+                + [("cross", g) for g in rest]
+            )
+            for k2, c2 in _nf_ops(seq, ops).items():
                 _bump(acc, k2, c2)
-        else:
-            # double crossing on adjacent labels opens into a dot on each strand
-            for dotpos in (p, p + 1):
-                ops = (
-                    [("cross", g) for g in tail]
-                    + [("dot", dotpos)]
-                    + [("cross", g) for g in rest]
-                )
-                for k2, c2 in _nf_ops(seq, ops).items():
-                    _bump(acc, k2, c2)
-        for s, w in corrs:
-            for k2, c2 in _nf_cross(seq, w + (p,) + rest).items():
-                _bump(acc, k2, s * c2)
-        res = acc
-    _nf_cross_memo[key] = res
-    return res
+    for s, w in corrs:
+        for k2, c2 in _nf_cross(seq, w + (p,) + rest).items():
+            _bump(acc, k2, s * c2)
+    return acc
 
 
 def _mult_gen(bottom, terms, kind, p):

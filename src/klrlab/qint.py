@@ -447,25 +447,19 @@ def matrix_rank(rows):
 
 
 def solve_linear(matrix, rhs):
-    """Solve M x = rhs exactly over Laurent fractions; M square nonsingular."""
+    """Solve M x = rhs exactly, as a list of LaurentFracs; entries are ints or LaurentPolys.
+
+    `[M | rhs]` is eliminated fraction-free; M is nonsingular iff the pivots are the
+    columns 0..n-1 (else ArithmeticError), and one back substitution gives x."""
     n = len(matrix)
-    a = [[LaurentFrac(v) if not isinstance(v, LaurentFrac) else v for v in row] + [
-        rhs[i] if isinstance(rhs[i], LaurentFrac) else LaurentFrac(rhs[i])
-    ] for i, row in enumerate(matrix)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not a[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            raise ArithmeticError("singular system")
-        a[c], a[piv] = a[piv], a[c]
-        inv = a[c][c]
-        for i in range(n):
-            if i == c or a[i][c].is_zero():
-                continue
-            factor = a[i][c] / inv
-            for j in range(c, n + 1):
-                a[i][j] = a[i][j] - factor * a[c][j]
-    return [a[i][n] / a[i][i] for i in range(n)]
+    pivots, m = row_echelon_bareiss([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots != list(range(n)):
+        raise ArithmeticError("singular system")
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = LaurentFrac(m[i][n])
+        for j in range(i + 1, n):
+            if m[i][j]:
+                acc = acc - x[j] * m[i][j]
+        x[i] = acc / m[i][i]
+    return x

@@ -1,5 +1,7 @@
 """Highest weight modules for the quantum group of type A, with exact contravariant forms."""
 
+import functools
+
 from .combi import CartanA, Partition, interlacing_set, weight_of_partition, weyl_dim
 from .qint import LaurentFrac, LaurentPoly, matrix_rank, quantum_integer, solve_linear
 
@@ -15,9 +17,6 @@ __all__ = [
     "monomial_weight",
     "weight_words",
 ]
-
-_gram_memo = {}
-
 
 def monomial_weight(hw, word):
     """Weight of F_word applied to the highest weight vector, in fundamental coordinates."""
@@ -46,10 +45,12 @@ def gram_entry(hw, u, w):
         return LaurentPoly.zero()
     if not u:
         return LaurentPoly.one()
-    key = (hw, u, w)
-    cached = _gram_memo.get(key)
-    if cached is not None:
-        return cached
+    return _gram_entry(hw, u, w)
+
+
+@functools.cache
+def _gram_entry(hw, u, w):
+    """`gram_entry` on tuples of equal content with u nonempty."""
     head, i = u[:-1], u[-1]
     shift = monomial_weight(hw, head)[i - 1] - 1
     coeffs = {}
@@ -63,9 +64,7 @@ def gram_entry(hw, u, w):
     for rest, coeff in coeffs.items():
         if coeff:
             total = total + coeff * gram_entry(hw, head, rest)
-    total = total.shift(shift)
-    _gram_memo[key] = total
-    return total
+    return total.shift(shift)
 
 
 def weight_words(beta):

@@ -81,6 +81,20 @@ COEFF_ELEMENT = (
     ' "word": {"rank": 1, "bottom": [1], "ops": []}}]}'
 )
 
+# Element documents whose rank, labels or op positions are not ints.
+FLOAT_ELEMENT = (
+    '{"rank": 1, "terms": [{"coeff": 1, "word": {"rank": 1.7, "bottom": [1.9, 1],'
+    ' "ops": [{"kind": "dot", "pos": 2.5}]}}]}'
+)
+BOOL_RANK_ELEMENT = (
+    '{"rank": true, "terms": [{"coeff": 1,'
+    ' "word": {"rank": true, "bottom": [1], "ops": []}}]}'
+)
+STRING_LABEL_ELEMENT = (
+    '{"rank": 1, "terms": [{"coeff": 1,'
+    ' "word": {"rank": 1, "bottom": ["1"], "ops": []}}]}'
+)
+
 # Stands for an empty regular file made under tmp_path, given where a directory is needed.
 PLAIN_FILE = "<plain file>"
 
@@ -115,6 +129,9 @@ PLAIN_FILE = "<plain file>"
         (["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "1.5"),
         (["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "[1, 0]"),
         (["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "true"),
+        (["cyc", "reduce", "--partition", "2,0"], FLOAT_ELEMENT),
+        (["klr", "nf"], BOOL_RANK_ELEMENT),
+        (["klr", "nf"], STRING_LABEL_ELEMENT),
     ],
 )
 def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from klrlab import klr, uqmod
 from klrlab.combi import Partition, enumerate_gt_patterns, weight_of_partition
 from klrlab.cyclo import (
     CAPPED,
@@ -56,14 +57,10 @@ def elem(rank, bottom, ops=()):
 def test_make_context_basics():
     ctx = make_context(Partition((1, 0)))
     assert ctx.weight == (1,)
-    assert ctx.dot_cap == 1 + 1
     ctx = make_context(Partition((2, 1, 0)))
     assert ctx.weight == (1, 1)
-    assert ctx.dot_cap == 3 + 1
     with pytest.raises(ValueError):
         make_context(Partition((1, 0)), degree_cap=0)
-    with pytest.raises(ValueError):
-        make_context(Partition((1, 0)), dot_cap=-1)
 
 
 def test_cyc_reduce_examples():
@@ -429,7 +426,7 @@ def test_flip_and_append():
 
 
 def test_capped_status_on_tiny_caps():
-    ctx = make_context(Partition((2, 0)), degree_cap=1, dot_cap=1)
+    ctx = make_context(Partition((2, 0)), degree_cap=1)
     red, st = cyc_reduce(elem(1, (1,), (("dot", 1),) * 3), ctx)
     assert st == CAPPED
     assert not red.is_zero()
@@ -509,6 +506,10 @@ def per_word_rows(ctx, bottom, top, delta, dcap, xcap):
                                 yield dict(terms)
 
 
+# The reference's dot cap for each lambda: the one contexts used to default to, the box
+# count plus the largest weight entry.
+REFERENCE_DOT_CAP = {(3, 0): 6, (2, 1, 0): 4, (2, 0, 0): 4}
+
 ROW_PIECES = (
     [((3, 0), (1, 1, 1, 1), (1, 1, 1, 1), 0, 14121)]
     + [((2, 1, 0), (1, 2, 1, 2), (1, 2, 2, 1), d, None) for d in range(-4, 5)]
@@ -526,7 +527,7 @@ def test_ideal_rows_match_the_per_word_rewrite(lam, bottom, top, delta, limit):
     610-word piece (e(1,1,1,1) is zero at (3,0)), so there the reference span is only
     contained in theirs."""
     ctx = make_context(Partition(lam))
-    want = per_word_rows(ctx, bottom, top, delta, ctx.degree_cap, ctx.dot_cap)
+    want = per_word_rows(ctx, bottom, top, delta, ctx.degree_cap, REFERENCE_DOT_CAP[lam])
     want = list(itertools.islice(want, limit))
     old, new = _Echelon(), _Echelon()
     for row in want:
@@ -633,6 +634,29 @@ def test_anchor_echelon_stays_in_ints():
     ech = state["ech"]
     assert (state["fed"], ech.rank()) == (974, 575)
     assert all(type(v) is int for row in ech.rows.values() for v in row.values())
+
+
+def test_cleared_caches_recompute_the_same_answers():
+    hw, u, w = (2, 1), (1, 2, 1, 2), (2, 1, 1, 2)
+    gram = gram_entry(hw, u, w)
+    caches = (
+        _compositions,
+        _compatible_perms,
+        _basis_keys,
+        klr._lexmin,
+        klr._nf_cross,
+        uqmod._gram_entry,
+    )
+    for fn in caches:
+        fn.cache_clear()
+        assert fn.cache_info().currsize == 0
+    ctx = make_context(Partition((3, 0)))
+    red, status = cyc_reduce(idempotent(1, (1, 1, 1, 1)), ctx)
+    assert red.is_zero() and status == EXACT
+    ((_, state),) = ctx.states.items()
+    assert (state["fed"], state["ech"].rank()) == (974, 575)
+    assert gram_entry(hw, u, w) == gram and not gram.is_zero()
+    assert all(fn.cache_info().currsize for fn in caches)
 
 
 def test_non_unit_pivot_row_is_stored_exactly():

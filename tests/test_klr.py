@@ -236,6 +236,16 @@ def test_rewrite_budget():
         assert used <= 100 * (len(w.ops) + len(w.bottom)) ** 4
 
 
+def test_rewrite_steps_are_the_nf_cross_misses():
+    klr._nf_cross.cache_clear()
+    w = KLRWord(2, (1, 2, 1, 2), [("cross", p) for p in (2, 1, 3, 2, 1, 2, 3, 2)])
+    normal_form(w)
+    steps = klr.rewrite_step_count()
+    assert steps == klr._nf_cross.cache_info().misses > 0
+    normal_form(w)
+    assert klr.rewrite_step_count() == steps
+
+
 def test_inv_r3_all_triples_ranks_2_to_4():
     checked = 0
     for n in (2, 3, 4):

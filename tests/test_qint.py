@@ -246,3 +246,35 @@ def test_solve_linear():
     got1 = x[0] * m[1][0] + x[1] * m[1][1]
     assert got0 == LaurentFrac(rhs[0])
     assert got1 == LaurentFrac(rhs[1])
+
+
+small_laurent = st.dictionaries(
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-3, max_value=3),
+    max_size=3,
+).map(LaurentPoly)
+
+
+@st.composite
+def square_systems(draw):
+    """An n x n matrix and a right-hand side, 1 <= n <= 4, of ints and small Laurent
+    polynomials."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(st.integers(min_value=-3, max_value=3), small_laurent)
+    matrix = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return matrix, [draw(entry) for _ in range(n)]
+
+
+@given(square_systems())
+def test_solve_linear_hypothesis(system):
+    matrix, rhs = system
+    if matrix_rank(matrix) < len(matrix):
+        with pytest.raises(ArithmeticError):
+            solve_linear(matrix, rhs)
+        return
+    x = solve_linear(matrix, rhs)
+    for row, b in zip(matrix, rhs):
+        acc = LaurentFrac.zero()
+        for a, v in zip(row, x):
+            acc = acc + v * a
+        assert acc == LaurentFrac(b)
