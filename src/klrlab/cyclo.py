@@ -6,7 +6,8 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .combi import GlWeight, Partition, XiSequence, weight_of_partition
+from .combi import GlWeight, Partition, XiSequence, enumerate_gt_patterns
+from .combi import weight_of_partition, xi_apply
 from .klr import (
     KLRElement,
     KLRWord,
@@ -17,12 +18,11 @@ from .klr import (
     idempotent,
     normal_form,
 )
-from .klr import _lexmin, _mult_gen, _perm_of, _word_from_canonical
+from .klr import _bump, _lexmin, _mult_gen, _perm_of
 from .qint import LaurentPoly
 
 __all__ = [
     "CycContext",
-    "PGroupMask",
     "GTIdempotent",
     "make_context",
     "cyc_reduce",
@@ -31,8 +31,6 @@ __all__ = [
     "pi_project",
     "branch_context",
     "append_free_strand",
-    "flip_word",
-    "tilde_kernel_test",
     "gt_idempotent",
     "gt_orthogonality_check",
     "sl2_vanishing_check",
@@ -96,11 +94,6 @@ def _basis_keys(bottom, top, delta):
         for comp in _compositions(rem // 2, m):
             keys.append((comp, word))
     return tuple(sorted(keys))
-
-
-def _key_degree(bottom, key):
-    exps, word = key
-    return _word_from_canonical(1 if not bottom else max(bottom), bottom, exps, word).degree()
 
 
 class _Echelon:
@@ -309,21 +302,20 @@ def _ideal_row_gen(ctx, bottom, top, delta):
                         yield terms
 
 
-def _get_state(ctx, bottom, top, delta, extra_rows=None, tag=None):
-    key = (bottom, top, delta, tag)
+def _new_state(ctx, bottom, top, delta):
+    """A fresh echelon on the piece's shared, replayable row source."""
+    key = (bottom, top, delta)
+    source = ctx.sources.get(key)
+    if source is None:
+        source = ctx.sources[key] = _RowSource(_ideal_row_gen(ctx, bottom, top, delta))
+    return {"ech": _Echelon(), "source": source, "fed": 0}
+
+
+def _get_state(ctx, bottom, top, delta):
+    key = (bottom, top, delta)
     state = ctx.states.get(key)
     if state is None:
-        source_key = (bottom, top, delta)
-        source = ctx.sources.get(source_key)
-        if source is None:
-            source = _RowSource(_ideal_row_gen(ctx, bottom, top, delta))
-            ctx.sources[source_key] = source
-        ech = _Echelon()
-        if extra_rows:
-            for r in extra_rows:
-                ech.insert(r)
-        state = {"ech": ech, "source": source, "fed": 0}
-        ctx.states[key] = state
+        state = ctx.states[key] = _new_state(ctx, bottom, top, delta)
     return state
 
 
@@ -364,12 +356,29 @@ def _reduce_vec(ctx, bottom, top, delta, vec):
     return remainder
 
 
-def _rank_dim(ctx, bottom, top, delta, tag=None, extra_rows=None):
-    """Dimension of one graded piece of the quotient."""
-    nbasis = len(_basis_keys(bottom, top, delta))
-    state = _get_state(ctx, bottom, top, delta, extra_rows=extra_rows, tag=tag)
+def _rank_dim(state, nbasis):
+    """Dimension of one graded piece of the quotient: feed rows until they span it."""
     _feed_until(state, lambda ech: ech.rank() >= nbasis)
     return nbasis - state["ech"].rank()
+
+
+def _reduce_terms(ctx, bottom, top, terms):
+    """`cyc_reduce` on canonical terms from `bottom` to `top`: (terms, status).  A key's
+    degree is twice its dot count plus its permutation's crossing degree."""
+    cross_deg = {word: cd for _, word, cd in _compatible_perms(bottom, top)}
+    pieces = {}
+    for (exps, word), c in terms.items():
+        pieces.setdefault(2 * sum(exps) + cross_deg[word], {})[exps, word] = c
+    out = {}
+    status = EXACT
+    for delta in sorted(pieces):
+        vec = pieces[delta]
+        if delta > ctx.degree_cap:
+            out.update(vec)
+            status = CAPPED
+            continue
+        out.update(_reduce_vec(ctx, bottom, top, delta, vec))
+    return out, status
 
 
 def cyc_reduce(x, ctx):
@@ -392,19 +401,7 @@ def cyc_reduce(x, ctx):
     bottom, terms = canonical_terms(x)
     if bottom is None:
         return KLRElement(ctx.rank, {}), EXACT
-    top = x.top
-    pieces = {}
-    for key, c in terms.items():
-        pieces.setdefault(_key_degree(bottom, key), {})[key] = c
-    out = {}
-    status = EXACT
-    for delta in sorted(pieces):
-        vec = pieces[delta]
-        if delta > ctx.degree_cap:
-            out.update(vec)
-            status = CAPPED
-            continue
-        out.update(_reduce_vec(ctx, bottom, top, delta, vec))
+    out, status = _reduce_terms(ctx, bottom, x.top, terms)
     return element_from_canonical(ctx.rank, bottom, out), status
 
 
@@ -421,14 +418,12 @@ def gdim_hom(e, e2, ctx):
         return LaurentPoly.zero(), EXACT
     if ctx.rank == 0:
         return (LaurentPoly.one() if e == () else LaurentPoly.zero()), EXACT
-    compat = _compatible_perms(e, e2)
-    if not compat:
-        return LaurentPoly.zero(), EXACT
-    dmin = min(cd for _, _, cd in compat)
+    dmin = min(cd for _, _, cd in _compatible_perms(e, e2))
     dims = {}
     delta = dmin
     while delta <= ctx.degree_cap:
-        dims[delta] = _rank_dim(ctx, e, e2, delta)
+        nbasis = len(_basis_keys(e, e2, delta))
+        dims[delta] = _rank_dim(_get_state(ctx, e, e2, delta), nbasis)
         if delta >= dmin + 1 and dims[delta] == 0 and dims[delta - 1] == 0:
             status = EXACT
             break
@@ -438,12 +433,13 @@ def gdim_hom(e, e2, ctx):
     return LaurentPoly({d: v for d, v in dims.items() if v}), status
 
 
+def _xi_rows(xi):
+    return xi.rows if isinstance(xi, XiSequence) else tuple(int(v) for v in xi)
+
+
 def special_idempotent(xi, tail, ctx):
     """Assemble a block-plus-tail boundary after checking the blocks fit the partition."""
-    if isinstance(xi, XiSequence):
-        rows = xi.rows
-    else:
-        rows = tuple(int(v) for v in xi)
+    rows = _xi_rows(xi)
     if rows and not XiSequence(rows).is_dominant(ctx.lam):
         raise ValueError(f"xi sequence {rows} is not dominant for {tuple(ctx.lam)}")
     return SpecialIdempotentSpec(ctx.rank, rows, tail)
@@ -451,10 +447,7 @@ def special_idempotent(xi, tail, ctx):
 
 def branch_context(ctx, xi):
     """The quotient context one branching step down, cached on the parent."""
-    if isinstance(xi, XiSequence):
-        rows = xi.rows
-    else:
-        rows = tuple(int(v) for v in xi)
+    rows = _xi_rows(xi)
     child = ctx.children.get(rows)
     if child is None:
         target = xi_applied_partition(ctx.lam, rows)
@@ -465,8 +458,6 @@ def branch_context(ctx, xi):
 
 def xi_applied_partition(lam, rows):
     """Remove one box per row index, then drop the deepest part."""
-    from .combi import xi_apply
-
     mu = xi_apply(XiSequence(rows), lam) if rows else lam
     parts = tuple(mu)
     return Partition(parts[:-1])
@@ -483,18 +474,10 @@ def append_free_strand(x, j):
     return KLRElement(x.rank, terms)
 
 
-def flip_word(w):
-    """Top-for-bottom reflection; an anti-automorphism on words."""
-    return KLRWord(w.rank, w.top(), tuple(reversed(w.ops)))
-
-
 def pi_project(x, xi, ctx):
     """Project through one branching step: drop terms that touch the block strands,
     strip the block columns, and reduce in the smaller quotient."""
-    if isinstance(xi, XiSequence):
-        rows = xi.rows
-    else:
-        rows = tuple(int(v) for v in xi)
+    rows = _xi_rows(xi)
     if not XiSequence(rows).is_dominant(ctx.lam):
         raise ValueError(f"xi sequence {rows} is not dominant for {tuple(ctx.lam)}")
     n = ctx.rank
@@ -523,48 +506,11 @@ def pi_project(x, xi, ctx):
         perm = _perm_of(word, m)
         if any(perm[p] != p + 1 for p in range(blen)):
             continue
-        key = (exps[blen:], tuple(g - blen for g in word))
-        out[key] = out.get(key, 0) + c
-    if not out:
-        return KLRElement(trank, {})
-    elem = element_from_canonical(trank, tail_bottom, out)
-    red, _ = cyc_reduce(elem, tctx)
-    return red
-
-
-class PGroupMask:
-    """Which bottom positions belong to the projected block group."""
-
-    __slots__ = ("size", "members")
-
-    def __init__(self, size, members):
-        self.size = int(size)
-        self.members = frozenset(int(p) for p in members)
-        for p in self.members:
-            if not 1 <= p <= self.size:
-                raise ValueError(f"position {p} outside 1..{self.size}")
-
-    def flags(self):
-        return [p + 1 in self.members for p in range(self.size)]
-
-    def __repr__(self):
-        return f"PGroupMask(size={self.size}, members={sorted(self.members)})"
-
-
-def tilde_kernel_test(w, mask):
-    """True when the word dots a block strand or crosses two block strands."""
-    if len(w.bottom) != mask.size:
-        raise ValueError("mask size does not match the word's bottom")
-    cur = mask.flags()
-    for kind, p in w.ops:
-        if kind == "dot":
-            if cur[p - 1]:
-                return True
-        else:
-            if cur[p - 1] and cur[p]:
-                return True
-            cur[p - 1], cur[p] = cur[p], cur[p - 1]
-    return False
+        _bump(out, (exps[blen:], tuple(g - blen for g in word)), c)
+    if tctx.rank:
+        # The block strands are fixed, so each word is the lexmin word of its tail.
+        out, _ = _reduce_terms(tctx, tail_bottom, top[blen:], out)
+    return element_from_canonical(trank, tail_bottom, out)
 
 
 class GTIdempotent:
@@ -578,13 +524,6 @@ class GTIdempotent:
         self.sequence = tuple(sequence)
         self.layer_spans = tuple(layer_spans)
         self.rank = rank
-
-    def masks(self):
-        out = []
-        for start, end in self.layer_spans:
-            if end > start:
-                out.append(PGroupMask(len(self.sequence), range(start + 1, end + 1)))
-        return out
 
     def __repr__(self):
         return f"GTIdempotent(sequence={self.sequence}, layers={self.layers})"
@@ -616,49 +555,61 @@ def gt_idempotent(s):
     return GTIdempotent(s, layers, tuple(seq), spans, m - 1)
 
 
-def _tilde_killed_rows(ctx, g1, g2, delta):
-    """Unit rows for basis words in the kernel of either pattern's projection tower."""
+def _killed_keys(g1, g2, delta):
+    """Basis keys from g1's boundary to g2's that either pattern's projection tower kills:
+    those that dot a strand of some block span, or cross two.  A key's dots sit at the
+    bottom and its reduced word crosses exactly the pairs its permutation inverts; a span
+    (s, e) of g1 holds bottom positions s..e-1, one of g2 the strands p with
+    s < perm[p] <= e."""
     bottom, top = g1.sequence, g2.sequence
-    masks_b = g1.masks()
-    masks_t = g2.masks()
-    rows = []
-    for key in _basis_keys(bottom, top, delta):
-        exps, word = key
-        w = _word_from_canonical(max(ctx.rank, 1), bottom, exps, word)
-        killed = any(tilde_kernel_test(w, mk) for mk in masks_b)
-        if not killed and masks_t:
-            wf = flip_word(w)
-            killed = any(tilde_kernel_test(wf, mk) for mk in masks_t)
-        if killed:
-            rows.append({key: 1})
-    return rows
+    m = len(bottom)
+    for perm, word, cd in _compatible_perms(bottom, top):
+        rem = delta - cd
+        if rem < 0 or rem % 2:
+            continue
+        spans = [range(s, e) for s, e in g1.layer_spans]
+        spans += [[p for p in range(m) if s < perm[p] <= e] for s, e in g2.layer_spans]
+        crossed = any(
+            perm[p] > perm[q] for span in spans for p, q in itertools.combinations(span, 2)
+        )
+        for exps in _compositions(rem // 2, m):
+            if crossed or any(exps[p] for span in spans for p in span):
+                yield (exps, word)
+
+
+def _defect(weight, seq):
+    """d = (Lambda, beta) - (beta, beta)/2 for the content beta of a label sequence."""
+    beta = [seq.count(i) for i in range(1, len(weight) + 1)]
+    links = sum(a * b for a, b in zip(beta, beta[1:]))
+    return sum(w * b for w, b in zip(weight, beta)) - sum(b * b for b in beta) + links
 
 
 def _tilde_gdim_zero(ctx, g1, g2):
-    """True when the Hom piece between two pattern idempotents vanishes in every degree."""
+    """True when the Hom piece between two pattern idempotents vanishes in every degree.
+
+    R^Lambda_beta is graded symmetric, so the piece, and any quotient of it, lies in
+    degrees dmin..2d-dmin; if that passes the degree cap the pair is not certified and
+    the answer is False.  Each degree seeds a fresh, unstored echelon with the killed keys.
+    """
     bottom, top = g1.sequence, g2.sequence
     if sorted(bottom) != sorted(top):
         return True
-    if len(bottom) == 0:
-        return bottom != top  # both empty means the scalar line: nonzero
-    compat = _compatible_perms(bottom, top)
-    if not compat:
-        return True
-    dmin = min(cd for _, _, cd in compat)
-    tag = ("tilde", g1.sequence, g1.layers, g2.sequence, g2.layers)
-    for delta in range(dmin, ctx.degree_cap + 1):
-        extra = _tilde_killed_rows(ctx, g1, g2, delta)
-        if _rank_dim(ctx, bottom, top, delta, tag=tag + (delta,), extra_rows=extra):
+    dmin = min(cd for _, _, cd in _compatible_perms(bottom, top))
+    dmax = 2 * _defect(ctx.weight, bottom) - dmin
+    if dmax > ctx.degree_cap:
+        return False
+    for delta in range(dmin, dmax + 1):
+        state = _new_state(ctx, bottom, top, delta)
+        for key in _killed_keys(g1, g2, delta):
+            state["ech"].insert({key: 1})
+        if _rank_dim(state, len(_basis_keys(bottom, top, delta))):
             return False
-        if delta >= dmin + 3:
-            return True
     return True
 
 
 def gt_orthogonality_check(lam, degree_cap=None):
-    """Hom spaces between distinct pattern idempotents all vanish under the degree cap."""
-    from .combi import enumerate_gt_patterns
-
+    """Hom spaces between distinct pattern idempotents all vanish, certified over each
+    pair's graded-symmetry degree range; False if that range passes the degree cap."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if degree_cap is None:

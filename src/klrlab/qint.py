@@ -55,6 +55,8 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly({0: other})
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         t = dict(self._t)
         for e, c in other._t.items():
             c2 = t.get(e, 0) + c
@@ -74,8 +76,8 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
+        if not isinstance(other, (int, LaurentPoly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -88,6 +90,8 @@ class LaurentPoly:
             out = LaurentPoly()
             out._t = {e: c * other for e, c in self._t.items()}
             return out
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         t = {}
         for e1, c1 in self._t.items():
             for e2, c2 in other._t.items():

@@ -12,11 +12,9 @@ from klrlab.cyclo import (
     CAPPED,
     EXACT,
     GTIdempotent,
-    PGroupMask,
     append_free_strand,
     branch_context,
     cyc_reduce,
-    flip_word,
     gdim_hom,
     gt_idempotent,
     gt_orthogonality_check,
@@ -25,7 +23,6 @@ from klrlab.cyclo import (
     pi_project,
     sl2_vanishing_check,
     special_idempotent,
-    tilde_kernel_test,
     weyl_vanishing_check,
 )
 from klrlab.cyclo import (
@@ -35,7 +32,9 @@ from klrlab.cyclo import (
     _compatible_perms,
     _compositions,
     _ideal_row_gen,
+    _killed_keys,
     _reduce_vec,
+    _tilde_gdim_zero,
 )
 from klrlab.klr import (
     KLRElement,
@@ -92,23 +91,15 @@ def test_gdim_examples():
 
 
 def oracle_slice(lam, hw, betas):
-    """Compare every Hom matrix against the contravariant form, one shift per content."""
+    """Compare every Hom matrix against the contravariant form, with no shift."""
     ctx = make_context(Partition(lam))
     for beta in betas:
         words = weight_words(beta)
-        shift = None
         for u in words:
             for w in words:
                 p, st = gdim_hom(u, w, ctx)
                 assert st == EXACT, (lam, beta, u, w)
-                g = gram_entry(hw, u, w)
-                if g.is_zero():
-                    assert p.is_zero(), (lam, beta, u, w)
-                    continue
-                assert not p.is_zero(), (lam, beta, u, w)
-                if shift is None:
-                    shift = p.min_exp() - g.min_exp()
-                assert p == g.shift(shift), (lam, beta, u, w)
+                assert p == gram_entry(hw, u, w), (lam, beta, u, w)
 
 
 def test_oracle_agreement_sl2():
@@ -323,22 +314,83 @@ def test_pi_surjectivity_witnesses():
                 assert_zero_mod(got - want, tctx)
 
 
-def test_tilde_kernel_rules():
-    mask = PGroupMask(3, (1, 2))
-    assert not tilde_kernel_test(KLRWord(2, (1, 2, 1)), mask)
-    assert tilde_kernel_test(KLRWord(2, (1, 2, 1), (("dot", 2),)), mask)
-    assert tilde_kernel_test(KLRWord(2, (1, 2, 1), (("cross", 1),)), mask)
-    # block strand may cross a free strand...
-    assert not tilde_kernel_test(KLRWord(2, (1, 2, 1), (("cross", 2),)), mask)
-    # ...but once swapped inward, block-block contact still counts
-    w = KLRWord(2, (1, 2, 1), (("cross", 2), ("cross", 1)))
-    assert not tilde_kernel_test(w, mask)
-    w = KLRWord(2, (1, 2, 1), (("cross", 2), ("cross", 1), ("cross", 2)))
-    assert tilde_kernel_test(w, mask)
-    with pytest.raises(ValueError):
-        tilde_kernel_test(KLRWord(2, (1, 2)), mask)
-    with pytest.raises(ValueError):
-        PGroupMask(2, (3,))
+@pytest.mark.parametrize(
+    "lam, xi, word, want",
+    [
+        ((1, 0), (1,), KLRWord(1, (1,)), 1),
+        ((1, 0), (1,), KLRWord(1, (1,), (("dot", 1),)), 0),
+        ((2, 0), (1,), KLRWord(1, (1,)), 1),
+        ((2, 0), (1,), KLRWord(1, (1,), (("dot", 1),)), 0),
+        ((2, 0), (1, 1), KLRWord(1, (1, 1)), 1),
+        ((2, 0), (1, 1), KLRWord(1, (1, 1), (("cross", 1),)), 0),
+        ((2, 0), (1, 1), KLRWord(1, (1, 1), (("cross", 1), ("dot", 1))), 1),
+    ],
+)
+def test_pi_onto_a_child_without_strands(lam, xi, word, want):
+    """A child quotient of rank 0 keeps the projected terms unreduced: e() or zero."""
+    ctx = make_context(Partition(lam))
+    assert branch_context(ctx, xi).rank == 0
+    out = pi_project(word, xi, ctx)
+    assert out.rank == 1
+    assert out.terms == ({KLRWord(1, ()): want} if want else {})
+
+
+def word_kernel_test(w, members):
+    """Reference word-level kernel rule: True when the word dots a strand that starts at
+    one of the 1-based bottom positions `members`, or crosses two of them."""
+    cur = [p + 1 in members for p in range(len(w.bottom))]
+    for kind, p in w.ops:
+        if kind == "dot":
+            if cur[p - 1]:
+                return True
+        else:
+            if cur[p - 1] and cur[p]:
+                return True
+            cur[p - 1], cur[p] = cur[p], cur[p - 1]
+    return False
+
+
+def flip_word(w):
+    """Top-for-bottom reflection of a word."""
+    return KLRWord(w.rank, w.top(), tuple(reversed(w.ops)))
+
+
+def test_killed_keys_match_the_word_level_kernel_rule():
+    """Every same-content pattern pair, self pairs included, in degrees dmin..dmin+5: a
+    key is killed iff its word hits a block span of the first pattern, or its flipped
+    word one of the second."""
+    pairs = keys = kept = 0
+    for lam in [(2, 1, 0), (3, 1, 0), (2, 1, 1, 0), (3, 2, 0)]:
+        rank = len(lam) - 1
+        gts = [gt_idempotent(s) for s in enumerate_gt_patterns(Partition(lam))]
+        for g1, g2 in itertools.product(gts, repeat=2):
+            bottom, top = g1.sequence, g2.sequence
+            if not bottom or sorted(bottom) != sorted(top):
+                continue
+            pairs += 1
+            dmin = min(cd for _, _, cd in _compatible_perms(bottom, top))
+            for delta in range(dmin, dmin + 6):
+                want = set()
+                for exps, word in _basis_keys(bottom, top, delta):
+                    w = klr._word_from_canonical(rank, bottom, exps, word)
+                    spans = [(w, s, e) for s, e in g1.layer_spans]
+                    spans += [(flip_word(w), s, e) for s, e in g2.layer_spans]
+                    if any(word_kernel_test(v, range(s + 1, e + 1)) for v, s, e in spans):
+                        want.add((exps, word))
+                got = list(_killed_keys(g1, g2, delta))
+                assert len(got) == len(set(got)) and set(got) == want, (lam, g1, g2, delta)
+                keys += len(_basis_keys(bottom, top, delta))
+                kept += len(_basis_keys(bottom, top, delta)) - len(want)
+    assert (pairs, keys, kept) == (69, 1250, 42)
+
+
+def test_orthogonality_keeps_no_echelon():
+    """Each degree's echelon reads the piece's shared row source and is then dropped."""
+    lam = Partition((2, 1, 0))
+    ctx = make_context(lam, 2 * lam.size() + 4)
+    gts = {g.sequence: g for g in map(gt_idempotent, enumerate_gt_patterns(lam))}
+    assert _tilde_gdim_zero(ctx, gts[1, 2], gts[2, 1])
+    assert ctx.sources and not ctx.states
 
 
 def test_gt_idempotent_examples():
@@ -382,6 +434,12 @@ def test_gt_orthogonality_small():
     assert gt_orthogonality_check(Partition((2, 1, 0)))
 
 
+def test_gt_orthogonality_past_the_degree_cap_is_not_certified():
+    """At (3,2,0) some pair's graded-symmetry range 2d - dmin passes a cap of 1."""
+    assert gt_orthogonality_check(Partition((3, 2, 0)))
+    assert not gt_orthogonality_check(Partition((3, 2, 0)), degree_cap=1)
+
+
 def test_sl2_vanishing():
     for lam1 in range(4):
         assert sl2_vanishing_check(lam1), lam1
@@ -415,11 +473,8 @@ def test_hom_record_shape():
     }
 
 
-def test_flip_and_append():
+def test_append_free_strand():
     w = KLRWord(2, (1, 2), (("cross", 1), ("dot", 1)))
-    f = flip_word(w)
-    assert f.bottom == w.top() and f.top() == w.bottom
-    assert f.ops == (("dot", 1), ("cross", 1))
     x = append_free_strand(KLRElement(2, {w: 1}), 2)
     (w2, c), = x.terms.items()
     assert w2.bottom == (1, 2, 2) and w2.ops == w.ops and c == 1

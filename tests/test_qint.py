@@ -221,6 +221,18 @@ def test_fraction_arithmetic():
             assert (x / y) * y == x
 
 
+def test_polynomial_operators_defer_to_a_fraction_operand():
+    rng = random.Random(19)
+    for _ in range(20):
+        p, a, b = rand_poly(rng), rand_poly(rng), rand_poly(rng)
+        if b.is_zero():
+            continue
+        f = LaurentFrac(a, b)
+        assert p * f == f * p == LaurentFrac(p * a, b)
+        assert p + f == f + p == LaurentFrac(p * b + a, b)
+        assert p - f == -(f - p) == LaurentFrac(p * b - a, b)
+
+
 def test_bareiss_rank_integer():
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     assert matrix_rank(rows) == 2
