@@ -9,11 +9,13 @@ import sys
 from .cache import ResultCache
 from .combi import Partition, enumerate_gt_patterns, schur_weights, weight_of_partition
 from .cyclo import (
+    CAPPED,
     EXACT,
     cyc_reduce,
     gdim_hom,
     gt_idempotent,
     gt_orthogonality_check,
+    gt_orthogonality_reach,
     hom_record,
     make_context,
     sl2_vanishing_check,
@@ -347,11 +349,20 @@ def cmd_cyc_gt_ortho(args):
 
     def compute():
         ok = gt_orthogonality_check(lam, degree_cap=deg_cap)
-        return {
+        payload = {
             "lambda": list(lam),
             "patterns": len(enumerate_gt_patterns(lam)),
             "ok": ok,
         }
+        # A certified check reached every pair's range, so only a failure can be capped.
+        reach = None if ok else gt_orthogonality_reach(lam)
+        if reach is not None and reach > deg_cap:
+            payload["status"] = CAPPED
+            payload["reason"] = (
+                f"degree cap {deg_cap} is below degree {reach}, "
+                "where the graded-symmetry range of some pattern pair ends"
+            )
+        return payload
 
     payload = fetch_cached(args, key, compute)
     return payload, 0 if payload["ok"] else 1

@@ -33,6 +33,7 @@ __all__ = [
     "append_free_strand",
     "gt_idempotent",
     "gt_orthogonality_check",
+    "gt_orthogonality_reach",
     "sl2_vanishing_check",
     "weyl_vanishing_check",
     "hom_record",
@@ -67,19 +68,46 @@ def _cross_contrib(a, b):
 @functools.cache
 def _compatible_perms(bottom, top):
     """All strand permutations carrying one boundary to the other, with their lexmin
-    reduced words and crossing degrees."""
+    reduced words and crossing degrees, in lexicographic order of the permutation.
+
+    The permutations are built label by label: bottom position p takes each free slot
+    s of top, in ascending order, that carries its label."""
     m = len(bottom)
     out = []
-    for perm in itertools.permutations(range(1, m + 1)):
-        if any(top[perm[p] - 1] != bottom[p] for p in range(m)):
-            continue
-        cd = 0
-        for p in range(m):
-            for q in range(p + 1, m):
-                if perm[p] > perm[q]:
-                    cd += _cross_contrib(bottom[p], bottom[q])
-        out.append((perm, _lexmin(perm), cd))
+
+    def place(p, perm, free):
+        if p == m:
+            cd = 0
+            for i in range(m):
+                for j in range(i + 1, m):
+                    if perm[i] > perm[j]:
+                        cd += _cross_contrib(bottom[i], bottom[j])
+            out.append((perm, _lexmin(perm), cd))
+            return
+        for s in free:
+            if top[s - 1] == bottom[p]:
+                place(p + 1, perm + (s,), [t for t in free if t != s])
+
+    place(0, (), list(range(1, m + 1)))
     return tuple(out)
+
+
+@functools.cache
+def _coset_middles(bottom):
+    """The m - 1 non-identity minimal coset representatives of S_m / (S_1 x S_{m-1}),
+    from bottom to the middle boundary, as (mid, vb, cdb).
+
+    The one for bottom position j > 0 (from 0) moves that strand to slot 1 and keeps the
+    order of the others: mid is (bottom[j],) + the rest, vb = (j, ..., 1) is its lexmin
+    word, and cdb sums the crossing degrees of the strands it passes.  They come sorted
+    by (mid, permutation), the order of a scan over every permutation."""
+    out = []
+    for j in range(1, len(bottom)):
+        mid = (bottom[j],) + bottom[:j] + bottom[j + 1:]
+        cdb = sum(_cross_contrib(b, bottom[j]) for b in bottom[:j])
+        out.append((mid, j, tuple(range(j, 0, -1)), cdb))
+    out.sort()
+    return tuple((mid, vb, cdb) for mid, _, vb, cdb in out)
 
 
 @functools.cache
@@ -248,11 +276,11 @@ def _ideal_row_gen(ctx, bottom, top, delta):
     Rows come as canonical-term dicts; products are written in the order the ops are
     read, bottom to top.  Unit rows for words already carrying the full dot power on the
     leftmost strand come first (each is x_1^gpow e(bottom) times a word, so it lies in
-    the ideal); then, for every middle boundary `mid`, the rows
-    psi_vb * x_1^gpow * x^compa * psi_va, where psi_va runs over every permutation from
-    mid to top, x^compa over every dot exponent that fills the degree, and psi_vb over
-    the m minimal coset representatives of S_m / (S_1 x S_{m-1}) from bottom to mid:
-    the strands that do not end at slot 1 of mid keep their order.
+    the ideal); then the rows psi_vb * x_1^gpow * x^compa * psi_va, where psi_vb runs
+    over the m - 1 non-identity minimal coset representatives of S_m / (S_1 x S_{m-1})
+    from bottom to a middle boundary `mid` (`_coset_middles`: the strands that do not
+    end at slot 1 of mid keep their order), psi_va over every permutation from mid to
+    top, and x^compa over every dot exponent that fills the degree.
 
     Why these span.  The piece is the sum over mid of
     e(bottom) R e(mid) * x_1^gpow e(mid) * e(mid) R e(top).  The left factor is spanned
@@ -267,6 +295,11 @@ def _ideal_row_gen(ctx, bottom, top, delta):
     right factor, and that is spanned over Z by x^compa psi_va.  So neither bottom dots
     nor the other coset elements are needed.  A graded piece is finite, so its rows are
     never cut.
+
+    Why the identity coset is left out.  Its middle is bottom itself and its gpow is
+    lambda_{bottom[0]}, so each of its rows is the single key
+    ((compa_1 + gpow, compa_2, ...), va): every basis key whose x_1 exponent is at least
+    gpow, once each.  That is exactly the set of unit rows, which come first.
 
     How a row is built.  va is the lexmin reduced word of its permutation
     (`_compatible_perms`), and dots sit below crossings in a canonical key, so
@@ -283,23 +316,18 @@ def _ideal_row_gen(ctx, bottom, top, delta):
     for key in _basis_keys(bottom, top, delta):
         if key[0][0] >= lam_bottom:
             yield {key: 1}
-    for mid in sorted(set(itertools.permutations(bottom))):
+    for mid, vb, cdb in _coset_middles(bottom):
         gpow = ctx.weight[mid[0] - 1]
-        above = _compatible_perms(mid, top)
-        for perm, vb, cdb in _compatible_perms(bottom, mid):
-            rest = [p for p in perm if p != 1]
-            if rest != sorted(rest):
+        for _, va, cda in _compatible_perms(mid, top):
+            rem = delta - 2 * gpow - cda - cdb
+            if rem < 0 or rem % 2:
                 continue
-            for _, va, cda in above:
-                rem = delta - 2 * gpow - cda - cdb
-                if rem < 0 or rem % 2:
-                    continue
-                for compa in _compositions(rem // 2, m):
-                    b, terms = mid, {((compa[0] + gpow,) + compa[1:], va): 1}
-                    for g in reversed(vb):
-                        b, terms = _mult_gen(b, terms, "cross", g)
-                    if terms:
-                        yield terms
+            for compa in _compositions(rem // 2, m):
+                b, terms = mid, {((compa[0] + gpow,) + compa[1:], va): 1}
+                for g in reversed(vb):
+                    b, terms = _mult_gen(b, terms, "cross", g)
+                if terms:
+                    yield terms
 
 
 def _new_state(ctx, bottom, top, delta):
@@ -584,18 +612,24 @@ def _defect(weight, seq):
     return sum(w * b for w, b in zip(weight, beta)) - sum(b * b for b in beta) + links
 
 
+def _symmetry_range(weight, bottom, top):
+    """dmin and 2d - dmin: R^Lambda_beta is graded symmetric, so the Hom piece between two
+    idempotents of one content, and any quotient of it, lies in these degrees."""
+    dmin = min(cd for _, _, cd in _compatible_perms(bottom, top))
+    return dmin, 2 * _defect(weight, bottom) - dmin
+
+
 def _tilde_gdim_zero(ctx, g1, g2):
     """True when the Hom piece between two pattern idempotents vanishes in every degree.
 
-    R^Lambda_beta is graded symmetric, so the piece, and any quotient of it, lies in
-    degrees dmin..2d-dmin; if that passes the degree cap the pair is not certified and
-    the answer is False.  Each degree seeds a fresh, unstored echelon with the killed keys.
+    The piece lies in its graded-symmetry range (`_symmetry_range`); if that passes the
+    degree cap the pair is not certified and the answer is False.  Each degree seeds a
+    fresh, unstored echelon with the killed keys.
     """
     bottom, top = g1.sequence, g2.sequence
     if sorted(bottom) != sorted(top):
         return True
-    dmin = min(cd for _, _, cd in _compatible_perms(bottom, top))
-    dmax = 2 * _defect(ctx.weight, bottom) - dmin
+    dmin, dmax = _symmetry_range(ctx.weight, bottom, top)
     if dmax > ctx.degree_cap:
         return False
     for delta in range(dmin, dmax + 1):
@@ -607,6 +641,12 @@ def _tilde_gdim_zero(ctx, g1, g2):
     return True
 
 
+def _gt_pairs(lam):
+    """Every ordered pair of distinct pattern idempotents."""
+    gts = [gt_idempotent(s) for s in enumerate_gt_patterns(lam)]
+    return [(g1, g2) for g1 in gts for g2 in gts if g1.pattern != g2.pattern]
+
+
 def gt_orthogonality_check(lam, degree_cap=None):
     """Hom spaces between distinct pattern idempotents all vanish, certified over each
     pair's graded-symmetry degree range; False if that range passes the degree cap."""
@@ -615,14 +655,24 @@ def gt_orthogonality_check(lam, degree_cap=None):
     if degree_cap is None:
         degree_cap = 2 * lam.size() + 4
     ctx = make_context(lam, degree_cap)
-    gts = [gt_idempotent(s) for s in enumerate_gt_patterns(lam)]
-    for g1 in gts:
-        for g2 in gts:
-            if g1.pattern == g2.pattern:
-                continue
-            if not _tilde_gdim_zero(ctx, g1, g2):
-                return False
-    return True
+    return all(_tilde_gdim_zero(ctx, g1, g2) for g1, g2 in _gt_pairs(lam))
+
+
+def gt_orthogonality_reach(lam):
+    """The degree the orthogonality check must reach to certify lam: the largest end
+    2d - dmin of a graded-symmetry range over the pairs of one content (None if no two
+    patterns share a content).  A degree cap below it leaves the check uncertified."""
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    weight = make_context(lam, 1).weight
+    return max(
+        (
+            _symmetry_range(weight, g1.sequence, g2.sequence)[1]
+            for g1, g2 in _gt_pairs(lam)
+            if sorted(g1.sequence) == sorted(g2.sequence)
+        ),
+        default=None,
+    )
 
 
 def sl2_vanishing_check(lam1, degree_cap=8):

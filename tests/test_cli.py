@@ -281,6 +281,24 @@ def test_cyc_gt_ortho(tmp_path, capsys):
     assert doc == {"lambda": [1, 0], "patterns": 2, "ok": True}
 
 
+def test_cyc_gt_ortho_capped_says_so(tmp_path, capsys):
+    """At (3,1,0) some pattern pair's graded-symmetry range ends at degree 5: a cap of 5
+    certifies the check, and a cap of 2 reports which cap stopped it."""
+    argv = ["cyc", "gt-ortho", "--partition", "3,1,0", "--cache-dir", str(tmp_path)]
+    code, doc, _ = run_json(capsys, argv + ["--deg-cap", "2"])
+    assert code == 1
+    assert doc == {
+        "lambda": [3, 1, 0],
+        "patterns": 15,
+        "ok": False,
+        "status": "capped",
+        "reason": "degree cap 2 is below degree 5, "
+        "where the graded-symmetry range of some pattern pair ends",
+    }
+    code, doc, _ = run_json(capsys, argv + ["--deg-cap", "5"])
+    assert code == 0 and doc == {"lambda": [3, 1, 0], "patterns": 15, "ok": True}
+
+
 def test_oracle_gram(tmp_path, capsys):
     argv = [
         "oracle", "gram", "--partition", "2,0", "--beta", "2",

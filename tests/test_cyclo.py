@@ -18,6 +18,7 @@ from klrlab.cyclo import (
     gdim_hom,
     gt_idempotent,
     gt_orthogonality_check,
+    gt_orthogonality_reach,
     hom_record,
     make_context,
     pi_project,
@@ -31,6 +32,8 @@ from klrlab.cyclo import (
     _basis_keys,
     _compatible_perms,
     _compositions,
+    _coset_middles,
+    _cross_contrib,
     _ideal_row_gen,
     _killed_keys,
     _reduce_vec,
@@ -435,9 +438,15 @@ def test_gt_orthogonality_small():
 
 
 def test_gt_orthogonality_past_the_degree_cap_is_not_certified():
-    """At (3,2,0) some pair's graded-symmetry range 2d - dmin passes a cap of 1."""
-    assert gt_orthogonality_check(Partition((3, 2, 0)))
-    assert not gt_orthogonality_check(Partition((3, 2, 0)), degree_cap=1)
+    """At (3,2,0) the graded-symmetry ranges 2d - dmin reach degree 6: a cap of 6
+    certifies the check and a cap of 5 or less does not."""
+    lam = Partition((3, 2, 0))
+    assert gt_orthogonality_reach(lam) == 6
+    assert gt_orthogonality_check(lam)
+    assert gt_orthogonality_check(lam, degree_cap=6)
+    assert not gt_orthogonality_check(lam, degree_cap=5)
+    assert not gt_orthogonality_check(lam, degree_cap=1)
+    assert gt_orthogonality_reach(Partition((2, 0, 0))) is None
 
 
 def test_sl2_vanishing():
@@ -602,7 +611,7 @@ def test_ideal_rows_match_the_per_word_rewrite(lam, bottom, top, delta, limit):
 
 
 def coset_word_rows(ctx, bottom, top, delta):
-    """Reference coset rows: the generator's unit rows, then each coset word
+    """Reference coset rows: the generator's unit rows, then each non-identity coset word
     psi_vb * x_1^gpow * x^compa * psi_va rewritten whole by `canonical_terms`, in the
     generator's order."""
     m = len(bottom)
@@ -614,7 +623,7 @@ def coset_word_rows(ctx, bottom, top, delta):
         gpow = ctx.weight[mid[0] - 1]
         for perm, vb, cdb in _compatible_perms(bottom, mid):
             rest = [p for p in perm if p != 1]
-            if rest != sorted(rest):
+            if rest != sorted(rest) or not vb:
                 continue
             for _, va, cda in _compatible_perms(mid, top):
                 rem = delta - 2 * gpow - cda - cdb
@@ -648,6 +657,90 @@ def test_ideal_rows_equal_the_whole_word_rewrite(lam, bottom, top, delta):
     got = [list(row.items()) for row in _ideal_row_gen(ctx, bottom, top, delta)]
     want = [list(row.items()) for row in coset_word_rows(ctx, bottom, top, delta)]
     assert got == want
+
+
+def brute_compatible_perms(bottom, top):
+    """Reference: scan every permutation and keep those that carry each label to it."""
+    m = len(bottom)
+    out = []
+    for perm in itertools.permutations(range(1, m + 1)):
+        if any(top[perm[p] - 1] != bottom[p] for p in range(m)):
+            continue
+        cd = sum(
+            _cross_contrib(bottom[p], bottom[q])
+            for p, q in itertools.combinations(range(m), 2)
+            if perm[p] > perm[q]
+        )
+        out.append((perm, klr._lexmin(perm), cd))
+    return tuple(out)
+
+
+def test_compatible_perms_match_a_scan_of_every_permutation():
+    """Every (bottom, top) of up to four strands over labels 1-3, and of five strands
+    over labels 1-2: the same tuples in the same order."""
+    seqs = [s for m in range(5) for s in itertools.product((1, 2, 3), repeat=m)]
+    pairs = [(b, t) for b in seqs for t in seqs if len(b) == len(t)]
+    five = list(itertools.product((1, 2), repeat=5))
+    pairs += itertools.product(five, five)
+    found = 0
+    for bottom, top in pairs:
+        want = brute_compatible_perms(bottom, top)
+        assert _compatible_perms(bottom, top) == want, (bottom, top)
+        found += len(want)
+    assert found == 5_968
+
+
+def scanned_coset_middles(bottom):
+    """Reference: the middles and permutations a scan over every permutation keeps, the
+    strands that do not end at slot 1 in their order, identity included."""
+    out = []
+    for mid in sorted(set(itertools.permutations(bottom))):
+        for perm, vb, cdb in brute_compatible_perms(bottom, mid):
+            rest = [p for p in perm if p != 1]
+            if rest == sorted(rest):
+                out.append((mid, vb, cdb))
+    return out
+
+
+def test_coset_middles_match_the_scan_without_the_identity():
+    for m in range(1, 6):
+        for bottom in itertools.product((1, 2, 3), repeat=m):
+            want = scanned_coset_middles(bottom)
+            assert len(want) == m and want.count((bottom, (), 0)) == 1
+            want = [entry for entry in want if entry[1]]
+            assert list(_coset_middles(bottom)) == want, bottom
+
+
+def identity_coset_rows(ctx, bottom, top, delta):
+    """The rows of the identity coset, x_1^gpow * x^compa * psi_va over bottom, each
+    rewritten whole by `canonical_terms`."""
+    m = len(bottom)
+    gpow = ctx.weight[bottom[0] - 1]
+    for _, va, cda in _compatible_perms(bottom, top):
+        rem = delta - 2 * gpow - cda
+        if rem < 0 or rem % 2:
+            continue
+        for compa in _compositions(rem // 2, m):
+            ops = [("dot", 1)] * gpow
+            ops += [("dot", p + 1) for p in range(m) for _ in range(compa[p])]
+            ops += [("cross", g) for g in va]
+            _, terms = canonical_terms(KLRWord(ctx.rank, bottom, ops))
+            yield terms
+
+
+@pytest.mark.parametrize("lam, bottom, top, delta", IDENTITY_PIECES)
+def test_identity_coset_rows_are_the_unit_rows(lam, bottom, top, delta):
+    """The rows the generator leaves out are, as a set, the unit rows it yields first."""
+    ctx = make_context(Partition(lam))
+    dropped = [tuple(row.items()) for row in identity_coset_rows(ctx, bottom, top, delta)]
+    units = [
+        ((key, 1),)
+        for key in _basis_keys(bottom, top, delta)
+        if key[0][0] >= ctx.weight[bottom[0] - 1]
+    ]
+    got = [tuple(row.items()) for row in _ideal_row_gen(ctx, bottom, top, delta)]
+    assert got[: len(units)] == units
+    assert len(set(dropped)) == len(dropped) and set(dropped) == set(units)
 
 
 def check_echelon_index(ech):
@@ -687,7 +780,7 @@ def test_anchor_echelon_stays_in_ints():
     assert red.is_zero() and status == EXACT
     ((_, state),) = ctx.states.items()
     ech = state["ech"]
-    assert (state["fed"], ech.rank()) == (974, 575)
+    assert (state["fed"], ech.rank()) == (898, 575)
     assert all(type(v) is int for row in ech.rows.values() for v in row.values())
 
 
@@ -697,6 +790,7 @@ def test_cleared_caches_recompute_the_same_answers():
     caches = (
         _compositions,
         _compatible_perms,
+        _coset_middles,
         _basis_keys,
         klr._lexmin,
         klr._nf_cross,
@@ -709,7 +803,7 @@ def test_cleared_caches_recompute_the_same_answers():
     red, status = cyc_reduce(idempotent(1, (1, 1, 1, 1)), ctx)
     assert red.is_zero() and status == EXACT
     ((_, state),) = ctx.states.items()
-    assert (state["fed"], state["ech"].rank()) == (974, 575)
+    assert (state["fed"], state["ech"].rank()) == (898, 575)
     assert gram_entry(hw, u, w) == gram and not gram.is_zero()
     assert all(fn.cache_info().currsize for fn in caches)
 
@@ -749,9 +843,9 @@ def test_kept_remainder_matches_a_fresh_reduction_after_every_row():
 
 
 def test_vanishing_piece_feeds_the_same_rows():
-    """e(1,1,1) at (2,0) dies after 37 coset rows, at rank 26 of the 29-word piece."""
+    """e(1,1,1) at (2,0) dies after 32 coset rows, at rank 26 of the 29-word piece."""
     ctx = make_context(Partition((2, 0)))
     red, _ = cyc_reduce(idempotent(1, (1, 1, 1)), ctx)
     assert red.is_zero()
     ((_, state),) = ctx.states.items()
-    assert (state["fed"], state["ech"].rank()) == (37, 26)
+    assert (state["fed"], state["ech"].rank()) == (32, 26)
