@@ -59,7 +59,8 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record, fh)
+                # dumps runs the C encoder; dump streams through the Python one.
+                fh.write(json.dumps(record))
             os.replace(tmp, self.path_for(key))
         except BaseException:
             try:

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -531,9 +532,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one parser, built on the first `main` call.  Reuse is safe: every
+    `parse_args` fills a fresh namespace, and `build_parser()` still returns a new one."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, code = args.func(args)
         emit(payload, args)

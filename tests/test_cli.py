@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end and the result cache."""
 
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import klrlab
+from klrlab import cli
 from klrlab.cache import ResultCache, default_cache_dir
 from klrlab.cli import main
 
@@ -32,14 +34,19 @@ def test_gt_enum_pinned(capsys):
     assert [[2, 1, 0], [2, 1], [2]] in doc
 
 
-def test_python_m_klrlab_runs_the_command():
+def run_module(argv):
+    """Run `python -m klrlab argv` in a fresh interpreter on this checkout's package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(klrlab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "klrlab", "gt", "enum", "--partition", "2,1,0"],
+    return subprocess.run(
+        [sys.executable, "-m", "klrlab", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_python_m_klrlab_runs_the_command():
+    proc = run_module(["gt", "enum", "--partition", "2,1,0"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert len(doc) == 8
@@ -332,6 +339,60 @@ def test_out_file(tmp_path, capsys):
     assert text.endswith("\n") and len(json.loads(text)) == 2
 
 
+def test_reused_parser_leaks_nothing_between_commands(tmp_path, capsys, monkeypatch):
+    """One process runs a command sequence on the parser it built once; every call's
+    stdout, stderr, exit code, --out file and cache files equal a fresh interpreter's."""
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    element = element_file(tmp_path, "el.json", 1, (1, 1), [("cross", 1), ("dot", 1)])
+    gdim = ["cyc", "gdim", "--partition", "2,1,0", "--seq", "1,2", "--seq2", "1,2"]
+    commands = [
+        gdim + ["--format", "csv", "--deg-cap", "3", "--cache-dir", "{dir}/cache"],
+        gdim + ["--cache-dir", "{dir}/cache"],
+        ["cyc", "gdim", "--seq", "1", "--cache-dir", "{dir}/cache"],
+        ["klr", "nf", "--in", element],
+        ["gt", "enum", "--partition", "2,1,0", "--out", "{dir}/patterns.json"],
+    ]
+
+    def outcome(side, code, out, err):
+        root = tmp_path / side
+        files = {
+            str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()
+        }
+        return code, out, err, files
+
+    here = []
+    for command in commands:
+        argv = [a.replace("{dir}", str(tmp_path / "here")) for a in command]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        here.append(outcome("here", code, captured.out, captured.err))
+    there = []
+    for command in commands:
+        argv = [a.replace("{dir}", str(tmp_path / "there")) for a in command]
+        proc = run_module(argv)
+        there.append(outcome("there", proc.returncode, proc.stdout, proc.stderr))
+
+    assert [h[0] for h in here] == [0, 0, 2, 0, 0]
+    # The first call's flags do not carry over: CSV and capped, then JSON and exact.
+    assert here[0][1].startswith("lambda,") and "status,capped" in here[0][1]
+    assert here[1][1].startswith('{"lambda": ') and '"status": "exact"' in here[1][1]
+    assert "the following arguments are required: --partition" in here[2][2]
+    assert here == there
+    assert len(here[-1][3]) == 3  # two cache entries and the --out file
+    assert builds == [1]
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["gt", "bogus"])
@@ -364,3 +425,38 @@ def test_cache_fetch_and_corruption(tmp_path):
         fh.write("{not json")
     assert cache.fetch(["k", 1], compute) == {"value": 7}
     assert len(calls) == 2
+
+
+def canonical_sha256(obj):
+    """The hash the cache names files by (of the key) and stores (of the payload)."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_cache_record_format_is_pinned(tmp_path):
+    """A record is the one-line default `json.dumps` of key, payload hash and payload."""
+    cache = ResultCache(str(tmp_path))
+    key = ["oracle gram", [2, 0], [2]]
+    payload = {"labels": [[1, 1]], "entries": [[{"num": [[-2, 1], [0, 2], [2, 1]]}]]}
+    cache.put(key, payload)
+    path = cache.path_for(key)
+    assert os.path.basename(path) == canonical_sha256(key) + ".json"
+    with open(path, "rb") as fh:
+        written = fh.read()
+    record = {"key": key, "sha256": canonical_sha256(payload), "payload": payload}
+    assert written == json.dumps(record).encode("utf-8")
+
+
+def test_cache_reads_records_streamed_by_json_dump(tmp_path):
+    """Entries written with `json.dump` to the handle, as earlier versions did, still hit."""
+    cache = ResultCache(str(tmp_path))
+    key = ["cyc gdim", [2, 0], [1], [1], 16, 2]
+    payload = {"gdim": [[0, 1], [2, 1]], "status": "exact"}
+    record = {"key": key, "sha256": canonical_sha256(payload), "payload": payload}
+    with open(cache.path_for(key), "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+
+    def miss():
+        raise AssertionError("recomputed a cached result")
+
+    assert cache.fetch(key, miss) == payload

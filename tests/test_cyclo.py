@@ -239,6 +239,29 @@ def test_pi_validation():
         pi_project(elem(3, (1, 2, 3, 3), (("cross", 3), ("cross", 3))), (1,), ctx4)
 
 
+def shared_label_ideal_row():
+    """psi_2 psi_3 psi_2 e(b) - e(b) at (2,0,0), b = (1,2,1,2): the block idempotent of
+    xi = (1,1), whose two blocks share their labels."""
+    b = (1, 2, 1, 2)
+    braid = KLRWord(2, b, (("cross", 2), ("cross", 3), ("cross", 2)))
+    return make_context(Partition((2, 0, 0))), KLRElement(2, {braid: 1}) - idempotent(2, b)
+
+
+def test_shared_label_row_lies_in_the_ideal():
+    ctx, x = shared_label_ideal_row()
+    red, st = cyc_reduce(x, ctx)
+    assert red.is_zero() and st == EXACT
+
+
+@pytest.mark.xfail(
+    strict=True, reason="pi does not kill the ideal when the blocks of xi share labels"
+)
+def test_pi_kills_a_shared_label_ideal_row():
+    ctx, x = shared_label_ideal_row()
+    # Today the image is -e() in the child quotient (0,0), which is not zero there.
+    assert pi_project(x, (1, 1), ctx).is_zero()
+
+
 def random_endo_word(rng, rank, bottom, max_ops=5):
     m = len(bottom)
     while True:
