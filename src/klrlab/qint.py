@@ -50,6 +50,9 @@ class LaurentPoly:
         return self._t == other._t
 
     def __hash__(self):
+        # a constant hashes as the int it equals
+        if self._t.keys() <= {0}:
+            return hash(self._t.get(0, 0))
         return hash(tuple(sorted(self._t.items())))
 
     def __add__(self, other):
@@ -108,6 +111,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative exponent of a Laurent polynomial")
         out = LaurentPoly.one()
         for _ in range(n):
             out = out * self
@@ -277,8 +282,18 @@ def laurent_divexact(a, b):
     return _from_dense(sa - sb, _dense_divexact(fa, fb))
 
 
+# the terms of the denominator 1
+_UNIT = {0: 1}
+
+
 class LaurentFrac:
-    """A reduced fraction of Laurent polynomials."""
+    """A reduced fraction of Laurent polynomials: numerator and denominator share no
+    polynomial or integer factor, and the denominator has lowest exponent 0 and a
+    positive leading coefficient.
+
+    A polynomial is already reduced, with denominator 1, so `LaurentFrac(num)` and the
+    sum and product of two fractions with denominator 1 skip the gcd (and so does their
+    difference, a sum with the negation)."""
 
     __slots__ = ("num", "den")
 
@@ -286,8 +301,11 @@ class LaurentFrac:
         if isinstance(num, int):
             num = LaurentPoly({0: num})
         if den is None:
-            den = LaurentPoly.one()
-        elif isinstance(den, int):
+            # a polynomial is already in canonical form
+            self.num = num
+            self.den = LaurentPoly.one()
+            return
+        if isinstance(den, int):
             den = LaurentPoly({0: den})
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
@@ -339,11 +357,16 @@ class LaurentFrac:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a polynomial hashes as its numerator, which it equals
+        if self.den._t == _UNIT:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __add__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             other = LaurentFrac(other)
+        if self.den._t == _UNIT and other.den._t == _UNIT:
+            return LaurentFrac(self.num + other.num)
         return LaurentFrac(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -365,6 +388,8 @@ class LaurentFrac:
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             other = LaurentFrac(other)
+        if self.den._t == _UNIT and other.den._t == _UNIT:
+            return LaurentFrac(self.num * other.num)
         return LaurentFrac(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

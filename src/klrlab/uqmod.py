@@ -36,35 +36,45 @@ def gram_entry(hw, u, w):
     the word w[:t] + w[t+1:] with the quantum integer of the weight of F_{w[:t]} v.  The
     deletions are grouped by the word they leave and their coefficients summed first, so
     each distinct remaining word is paired with head once (a string F_i^k v has one, not k),
-    and a word whose summed coefficient is zero is not paired at all.
+    and a word whose summed coefficient is zero is not paired at all.  A letter outside
+    1..len(hw) raises ValueError.
     """
     hw = tuple(hw)
-    u = tuple(u)
-    w = tuple(w)
-    if len(u) != len(w) or sorted(u) != sorted(w):
+    su, sw = sorted(u), sorted(w)
+    rank = len(hw)
+    if su and (su[0] < 1 or su[-1] > rank) or sw and (sw[0] < 1 or sw[-1] > rank):
+        raise ValueError(f"word letters must lie in 1..{rank}")
+    if su != sw:
         return LaurentPoly.zero()
-    if not u:
-        return LaurentPoly.one()
-    return _gram_entry(hw, u, w)
+    return _gram_entry(hw, tuple(u), tuple(w))
 
 
 @functools.cache
 def _gram_entry(hw, u, w):
-    """`gram_entry` on tuples of equal content with u nonempty."""
+    """`gram_entry` on tuples of equal content with letters in 1..len(hw).
+
+    One scan of w tracks the i-th weight entry of F_{w[:t]} v: a_ii = 2 and
+    a_{i,i+-1} = -1 are the only nonzero Cartan entries in row i."""
+    if not u:
+        return LaurentPoly.one()
     head, i = u[:-1], u[-1]
-    shift = monomial_weight(hw, head)[i - 1] - 1
+    wt = hw[i - 1]
     coeffs = {}
-    for t in range(len(w)):
-        if w[t] != i:
-            continue
-        rest = w[:t] + w[t + 1 :]
-        coeff = quantum_integer(monomial_weight(hw, w[:t])[i - 1])
-        coeffs[rest] = coeffs[rest] + coeff if rest in coeffs else coeff
+    for t, x in enumerate(w):
+        if x == i:
+            rest = w[:t] + w[t + 1 :]
+            coeff = quantum_integer(wt)
+            coeffs[rest] = coeffs[rest] + coeff if rest in coeffs else coeff
+            wt -= 2
+        elif x == i - 1 or x == i + 1:
+            wt += 1
     total = LaurentPoly.zero()
     for rest, coeff in coeffs.items():
         if coeff:
-            total = total + coeff * gram_entry(hw, head, rest)
-    return total.shift(shift)
+            total = total + coeff * _gram_entry(hw, head, rest)
+    # wt is now the i-th weight entry of F_w v, the same as of F_u v; F_head v has one
+    # letter i fewer, so its entry is wt + 2, and the shift is that entry less 1
+    return total.shift(wt + 1)
 
 
 def weight_words(beta):

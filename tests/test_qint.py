@@ -221,6 +221,36 @@ def test_fraction_arithmetic():
             assert (x / y) * y == x
 
 
+non_constant = laurent.filter(lambda d: d.min_exp() != 0 or d.max_exp() != 0)
+
+
+@given(laurent, laurent, non_constant)
+def test_polynomial_fractions_keep_the_canonical_form(a, b, d):
+    # sums, differences and products of polynomials skip the gcd; through the gcd they
+    # come out the same, to the dict and the record
+    x, y = LaurentFrac(a), LaurentFrac(b)
+    for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b)):
+        ref = LaurentFrac(want * d, d)
+        assert got.num._t == ref.num._t and got.den._t == ref.den._t
+        assert got.to_record() == ref.to_record()
+
+
+@given(laurent, st.integers(min_value=-9, max_value=9), laurent.filter(bool))
+def test_hash_agrees_with_equality(a, c, d):
+    const = LaurentPoly({0: c})
+    assert const == c and hash(const) == hash(c)
+    assert LaurentFrac(c) == c and hash(LaurentFrac(c)) == hash(c)
+    for frac in (LaurentFrac(a), LaurentFrac(a * d, d)):
+        assert frac == a and hash(frac) == hash(a)
+
+
+def test_negative_power_is_rejected():
+    q = LaurentPoly.q_power(1)
+    assert q ** 0 == 1 and q ** 3 == LaurentPoly.q_power(3)
+    with pytest.raises(ValueError):
+        q ** -1
+
+
 def test_polynomial_operators_defer_to_a_fraction_operand():
     rng = random.Random(19)
     for _ in range(20):

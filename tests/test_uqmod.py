@@ -1,7 +1,11 @@
 """Module-level checks: forms, relation verification, branching."""
 
+import hashlib
 import itertools
+import json
 import random
+
+import pytest
 
 from klrlab.combi import CartanA, Partition, weight_of_partition, weyl_dim
 from klrlab.qint import LaurentFrac, LaurentPoly, quantum_integer
@@ -194,6 +198,33 @@ def test_grouped_gram_matches_the_ungrouped_recursion():
         for beta in contents:
             for u, w in itertools.product(weight_words(beta), repeat=2):
                 assert gram_entry(hw, u, w) == _ungrouped_gram(hw, u, w, memo), (hw, u, w)
+
+
+def test_gram_entry_rejects_letters_outside_the_rank():
+    for u, w in [((0,), (0,)), ((3,), (3,)), ((1, 3), (3, 1)), ((1,), (0,)), ((1, 2), (2, -1))]:
+        with pytest.raises(ValueError):
+            gram_entry((2, 1), u, w)
+
+
+# sha256 of the basis and the E/F records of build_irreducible, recorded before the
+# polynomial fast path of LaurentFrac and the one-scan weights of gram_entry
+EF_DIGESTS = {
+    (29,): "0f7e3784f6db07687a3f0fc06e6955846eda04e0c9c1cce3efc01d4c0d82956d",
+    (1, 0, 1): "3b8b5438c808e4651efe4499a70c9bcd58a1b5153342519b99c876cf2b387748",
+    (2, 1, 1): "6b858b7fe9a77c2c7c50613046f4c9070e36c6c5a635c9f266b867a1e74c18f5",
+}
+
+
+def test_ef_matrices_match_recorded_digests():
+    for hw, want in EF_DIGESTS.items():
+        mod = build_irreducible(hw)
+        mats = [
+            [[v.to_record() for v in row] for row in side[i]]
+            for side in (mod.e_mats, mod.f_mats)
+            for i in sorted(side)
+        ]
+        doc = json.dumps([list(w) for w in mod.basis] + mats, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == want, hw
 
 
 def test_basis_words_have_unit_coordinates():
