@@ -173,6 +173,33 @@ def quantum_integer(n):
     return LaurentPoly({m - 1 - 2 * k: sign for k in range(m)})
 
 
+def times_quantum_integer(p, n):
+    """The product quantum_integer(n) * p, in O(len p + |n|) steps.
+
+    [n] is a run of |n| monomials two degrees apart, so on the dense coefficient list c
+    of p each coefficient of the product is a window sum over one exponent-parity class,
+    kept as a running sum: out[j] = c[j] + out[j-2] - c[j-2|n|]."""
+    if n == 0 or not p._t:
+        return LaurentPoly()
+    if n == 1:
+        return p
+    if n == -1:
+        return -p
+    m = abs(n)
+    lo, c = _to_dense(p)
+    pad = 2 * m
+    ext = [0] * pad + c + [0] * (pad - 2)
+    out = [0] * len(ext)
+    for j in range(pad, len(ext)):
+        out[j] = ext[j] + out[j - 2] - ext[j - pad]
+    # out[pad] is the coefficient of q^(lo - m + 1)
+    base = lo - m + 1 - pad
+    sign = 1 if n > 0 else -1
+    prod = LaurentPoly()
+    prod._t = {base + j: sign * v for j, v in enumerate(out) if v}
+    return prod
+
+
 # ---------------------------------------------------------------------------
 # dense integer polynomial helpers (for gcd / exact division of Laurent polys)
 

@@ -3,7 +3,14 @@
 import functools
 
 from .combi import CartanA, Partition, interlacing_set, weight_of_partition, weyl_dim
-from .qint import LaurentFrac, LaurentPoly, matrix_rank, quantum_integer, solve_linear
+from .qint import (
+    LaurentFrac,
+    LaurentPoly,
+    matrix_rank,
+    quantum_integer,
+    solve_linear,
+    times_quantum_integer,
+)
 
 __all__ = [
     "HighestWeightModule",
@@ -19,14 +26,45 @@ __all__ = [
 ]
 
 def monomial_weight(hw, word):
-    """Weight of F_word applied to the highest weight vector, in fundamental coordinates."""
+    """Weight of F_word applied to the highest weight vector, in fundamental coordinates.
+
+    Letter i subtracts column i of the Cartan matrix, whose only nonzero entries are
+    a_ii = 2 and a_{i+-1,i} = -1.  A letter outside 1..len(hw) raises ValueError."""
     rank = len(hw)
-    cartan = CartanA(rank)
     wt = list(hw)
     for i in word:
-        for j in range(1, rank + 1):
-            wt[j - 1] -= cartan.entry(j, i)
+        if not 1 <= i <= rank:
+            raise ValueError(f"word letters must lie in 1..{rank}")
+        wt[i - 1] -= 2
+        if i > 1:
+            wt[i - 2] += 1
+        if i < rank:
+            wt[i] += 1
     return tuple(wt)
+
+
+def _runs(hw, w, i):
+    """The maximal runs of the letter i in w, and the i-th weight entry of F_w v.
+
+    Each run is (start, r, a): r copies of i from w[start], with a the i-th weight entry
+    of F_{w[:start]} v.  One scan tracks that entry: -2 at each letter i and +1 at each
+    letter i+-1, the nonzero entries of row i of the Cartan matrix."""
+    runs = []
+    a = hw[i - 1]
+    t, n = 0, len(w)
+    while t < n:
+        x = w[t]
+        if x == i:
+            start = t
+            while t < n and w[t] == i:
+                t += 1
+            runs.append((start, t - start, a))
+            a -= 2 * (t - start)
+            continue
+        if x == i - 1 or x == i + 1:
+            a += 1
+        t += 1
+    return runs, a
 
 
 def gram_entry(hw, u, w):
@@ -53,28 +91,24 @@ def gram_entry(hw, u, w):
 def _gram_entry(hw, u, w):
     """`gram_entry` on tuples of equal content with letters in 1..len(hw).
 
-    One scan of w tracks the i-th weight entry of F_{w[:t]} v: a_ii = 2 and
-    a_{i,i+-1} = -1 are the only nonzero Cartan entries in row i."""
+    Deleting any letter of a maximal run of r copies of i in w leaves the same word, and
+    the s-th letter of the run meets the weight entry a - 2s, a being the entry at the
+    start of the run.  So the run contributes that word's pairing once, with the summed
+    coefficient [a] + [a-2] + ... + [a-2r+2] = [r][a-r+1]; deletions from different runs
+    leave different words.  [r] is never zero, so the run drops out exactly when
+    a - r + 1 = 0, and then its word is not paired at all."""
     if not u:
         return LaurentPoly.one()
     head, i = u[:-1], u[-1]
-    wt = hw[i - 1]
-    coeffs = {}
-    for t, x in enumerate(w):
-        if x == i:
-            rest = w[:t] + w[t + 1 :]
-            coeff = quantum_integer(wt)
-            coeffs[rest] = coeffs[rest] + coeff if rest in coeffs else coeff
-            wt -= 2
-        elif x == i - 1 or x == i + 1:
-            wt += 1
+    runs, end = _runs(hw, w, i)
     total = LaurentPoly.zero()
-    for rest, coeff in coeffs.items():
-        if coeff:
-            total = total + coeff * _gram_entry(hw, head, rest)
-    # wt is now the i-th weight entry of F_w v, the same as of F_u v; F_head v has one
-    # letter i fewer, so its entry is wt + 2, and the shift is that entry less 1
-    return total.shift(wt + 1)
+    for start, r, a in runs:
+        if a != r - 1:
+            sub = _gram_entry(hw, head, w[:start] + w[start + 1 :])
+            total = total + times_quantum_integer(times_quantum_integer(sub, r), a - r + 1)
+    # end is the i-th weight entry of F_w v, the same as of F_u v; F_head v has one
+    # letter i fewer, so its entry is end + 2, and the shift is that entry less 1
+    return total.shift(end + 1)
 
 
 def weight_words(beta):
@@ -276,14 +310,14 @@ def build_irreducible(hw, depth=None):
         for i in range(1, rank + 1):
             for row, val in coords(u + (i,)).items():
                 f_mats[i][row][col] = val
+            # E_i deletes each letter i of u; as in _gram_entry, one run's deletions leave
+            # one word, with the summed coefficient [r][a-r+1]
             acc = {}
-            for t in range(len(u)):
-                if u[t] != i:
+            for start, r, a in _runs(hw, u, i)[0]:
+                if a == r - 1:
                     continue
-                c = quantum_integer(monomial_weight(hw, u[:t])[i - 1])
-                if c.is_zero():
-                    continue
-                for row, val in coords(u[:t] + u[t + 1 :]).items():
+                c = times_quantum_integer(quantum_integer(r), a - r + 1)
+                for row, val in coords(u[:start] + u[start + 1 :]).items():
                     prev = acc.get(row, LaurentFrac.zero())
                     acc[row] = prev + val * c
             for row, val in acc.items():

@@ -15,6 +15,7 @@ from klrlab.qint import (
     quantum_integer,
     row_echelon_bareiss,
     solve_linear,
+    times_quantum_integer,
 )
 
 
@@ -59,6 +60,26 @@ def test_quantum_integer_multiplication_identity():
     two = quantum_integer(2)
     for n in range(1, 9):
         assert two * quantum_integer(n) == quantum_integer(n + 1) + quantum_integer(n - 1)
+
+
+def test_times_quantum_integer_matches_the_product():
+    # the norm <F^14 v, F^14 v> = q^210 [14]! [29][28]...[16] of the highest weight 29
+    norm = LaurentPoly.one()
+    for j in range(1, 15):
+        norm = norm * quantum_integer(j) * quantum_integer(30 - j)
+    cases = [
+        LaurentPoly.zero(),
+        LaurentPoly.one(),
+        LaurentPoly.q_power(-5, 7),
+        LaurentPoly({-9: 2, -8: -1, 0: 5, 7: -3, 20: 1}),
+        LaurentPoly({-12: 1, -11: 4, -3: -6}),
+        norm.shift(210),
+    ]
+    for p in cases:
+        for n in range(-30, 31):
+            got = times_quantum_integer(p, n)
+            assert got == quantum_integer(n) * p, (p, n)
+            assert 0 not in got._t.values()
 
 
 def test_laurent_operators():

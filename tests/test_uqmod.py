@@ -65,6 +65,20 @@ def test_monomial_weight():
     assert monomial_weight((1, 1), (1, 2)) == (0, 0)
 
 
+def test_monomial_weight_subtracts_cartan_columns():
+    rng = random.Random(23)
+    for rank in range(1, 6):
+        cartan = CartanA(rank)
+        for _ in range(40):
+            hw = tuple(rng.randint(0, 4) for _ in range(rank))
+            word = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8)))
+            want = [x - sum(cartan.entry(j, i) for i in word) for j, x in enumerate(hw, 1)]
+            assert monomial_weight(hw, word) == tuple(want), (hw, word)
+        for bad in (0, rank + 1):
+            with pytest.raises(ValueError):
+                monomial_weight((1,) * rank, (1, bad))
+
+
 def test_exhaustion_depth_examples():
     assert exhaustion_depth((2,)) == 2
     assert exhaustion_depth((1, 1)) == 4
@@ -157,12 +171,13 @@ def test_gram_bar_symmetry_per_weight_space():
 
 def test_sl2_string_norms_match_the_closed_form():
     # <F^k v, F^k v> = q^{k(m-k)} [k]! [m][m-1]...[m-k+1] on the highest weight m
-    q = LaurentPoly.q_power(1)
-    for m in range(12):
+    # up to m = 29, the longest string of the benchmark's module family
+    for m in range(30):
+        prod = LaurentPoly.one()
         for k in range(m + 3):
-            want = q ** (k * (m - k)) if k <= m else LaurentPoly.zero()
-            for j in range(1, k + 1):
-                want = want * quantum_integer(j) * quantum_integer(m - j + 1)
+            if k:
+                prod = prod * quantum_integer(k) * quantum_integer(m - k + 1)
+            want = prod.shift(k * (m - k)) if k <= m else LaurentPoly.zero()
             assert gram_entry((m,), (1,) * k, (1,) * k) == want, (m, k)
 
 
