@@ -90,13 +90,6 @@ def cap_kwargs(args):
     return {} if args.deg_cap is None else {"degree_cap": args.deg_cap}
 
 
-def hom_cache_key(command, lam, e, e2, ctx):
-    """The cache key of a Hom command.  Its last field is the dot cap the library used to
-    default to, whatever `--dot-cap` says, so that entries written before keep their key."""
-    dot_cap = max(1, lam.size() + max(ctx.weight, default=0))
-    return [command, list(lam), list(e), list(e2), ctx.degree_cap, dot_cap]
-
-
 def fetch_cached(args, key, compute):
     """The cached payload for key, computed and stored on a miss; a cache that cannot be
     written is a usage error."""
@@ -278,13 +271,23 @@ def cmd_cyc_reduce(args):
     return payload, code
 
 
-def cmd_cyc_gdim(args):
+def hom_inputs(args):
+    """The partition, the two sequences (`--seq2` defaults to `--seq`), the quotient
+    context and the cache key of `cyc gdim` and `cyc compare`.  The key's last field is the
+    dot cap the library used to default to, whatever `--dot-cap` says, so that entries
+    written before keep their key."""
     lam = parse_partition(args.partition)
     e = parse_labels(args.seq)
     e2 = parse_labels(args.seq2) if args.seq2 is not None else e
     ctx = make_context(lam, **cap_kwargs(args))
     check_labels(e + e2, ctx.rank)
-    key = hom_cache_key("cyc gdim", lam, e, e2, ctx)
+    dot_cap = max(1, lam.size() + max(ctx.weight, default=0))
+    key = [f"cyc {args.verb}", list(lam), list(e), list(e2), ctx.degree_cap, dot_cap]
+    return lam, e, e2, ctx, key
+
+
+def cmd_cyc_gdim(args):
+    lam, e, e2, ctx, key = hom_inputs(args)
 
     def compute():
         poly, status = gdim_hom(e, e2, ctx)
@@ -296,13 +299,10 @@ def cmd_cyc_gdim(args):
 
 
 def cmd_cyc_compare(args):
-    lam = parse_partition(args.partition)
-    e = parse_labels(args.seq)
-    e2 = parse_labels(args.seq2) if args.seq2 is not None else e
-    ctx = make_context(lam, **cap_kwargs(args))
-    check_labels(e + e2, ctx.rank)
+    lam, e, e2, ctx, key = hom_inputs(args)
+    if lam.part_count < 2:
+        raise UsageError("cyc compare needs a partition with at least two parts")
     hw = weight_of_partition(lam).entries
-    key = hom_cache_key("cyc compare", lam, e, e2, ctx)
 
     def compute():
         poly, status = gdim_hom(e, e2, ctx)
@@ -389,29 +389,76 @@ def cmd_suite_acceptance(args):
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table
 
-
-def _add_output_flags(p):
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", metavar="FILE", default=None)
-
-
-def _add_cap_flags(p):
-    p.add_argument(
-        "--deg-cap", type=int, default=None,
-        help="highest degree computed; a piece above it makes the result capped",
-    )
-    p.add_argument(
-        "--dot-cap", type=int, default=None,
-        help="accepted (must be >= 1) but ignored: every graded piece is computed in"
+# Each flag a verb can take, by name: its option string and add_argument keywords.
+FLAGS = {
+    "partition": ("--partition", {"required": True}),
+    "seq": ("--seq", {"required": True}),
+    "seq2": ("--seq2", {}),
+    "beta": ("--beta", {"required": True}),
+    "rank": ("--rank", {"type": int, "required": True}),
+    "degree": ("--degree", {"type": int, "required": True}),
+    "dominant": ("--dominant", {"action": "store_true"}),
+    "in": ("--in", {"dest": "infile", "metavar": "FILE"}),
+    "optional-rank": ("--rank", {"type": int}),
+    "blocks": ("--blocks", {"type": int}),
+    "deg-cap": ("--deg-cap", {
+        "type": int,
+        "help": "highest degree computed; a piece above it makes the result capped",
+    }),
+    "dot-cap": ("--dot-cap", {
+        "type": int,
+        "help": "accepted (must be >= 1) but ignored: every graded piece is computed in"
         " full, so a result is cached once for every value",
-    )
-    p.add_argument("--require-exact", action="store_true")
+    }),
+    "require-exact": ("--require-exact", {"action": "store_true"}),
+    "cache-dir": ("--cache-dir", {}),
+}
+CAPS = ("deg-cap", "dot-cap", "require-exact")
 
-
-def _add_cache_flag(p):
-    p.add_argument("--cache-dir", default=None)
+# Every command: group -> (help, [(verb, handler, names of its flags in order, help)]).
+# Each verb also takes --format and --out, after its own flags.
+COMMANDS = {
+    "gt": ("Gelfand-Tsetlin patterns", [
+        ("enum", cmd_gt_enum, ["partition"], "enumerate the patterns under a partition"),
+        ("idem", cmd_gt_idem, ["partition"], "idempotent data attached to each pattern"),
+    ]),
+    "branch": ("restriction checks", [
+        ("check", cmd_branch_check, ["partition"], "compare a module against its restriction"),
+    ]),
+    "weights": ("weight enumeration", [
+        ("schur", cmd_weights_schur, ["rank", "degree", "dominant"],
+         "integer weights of given rank and size"),
+    ]),
+    "klr": ("diagram algebra operations", [
+        ("nf", cmd_klr_nf, ["in"], "normal form of an element document"),
+        ("degree", cmd_klr_degree, ["in"], "degrees of the terms of an element document"),
+        ("factor", cmd_klr_factor, ["seq", "optional-rank", "blocks"],
+         "pull sorted runs out of an idempotent"),
+    ]),
+    "cyc": ("cyclotomic quotient checks", [
+        ("reduce", cmd_cyc_reduce, ["partition", "in", *CAPS],
+         "reduce an element document in the quotient"),
+        ("gdim", cmd_cyc_gdim, ["partition", "seq", "seq2", *CAPS, "cache-dir"],
+         "graded Hom dimension between two idempotents"),
+        ("compare", cmd_cyc_compare, ["partition", "seq", "seq2", *CAPS, "cache-dir"],
+         "graded Hom dimension against the bilinear-form oracle"),
+        ("sl2-vanish", cmd_cyc_sl2_vanish, ["partition", *CAPS],
+         "one-row vanishing certificate"),
+        ("weyl-vanish", cmd_cyc_weyl_vanish, ["partition", "seq", *CAPS],
+         "negative region-weight vanishing"),
+        ("gt-ortho", cmd_cyc_gt_ortho, ["partition", *CAPS, "cache-dir"],
+         "pairwise vanishing between pattern idempotents"),
+    ]),
+    "oracle": ("quantum-module oracles", [
+        ("gram", cmd_oracle_gram, ["partition", "beta", "cache-dir"],
+         "bilinear-form matrix on a weight space"),
+    ]),
+    "suite": ("batch verification", [
+        ("acceptance", cmd_suite_acceptance, [], "run every acceptance criterion"),
+    ]),
+}
 
 
 def build_parser():
@@ -420,115 +467,18 @@ def build_parser():
         description="Exact computations in type-A diagram algebras and their quotients.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    gt = groups.add_parser("gt", help="Gelfand-Tsetlin patterns").add_subparsers(
-        dest="verb", required=True
-    )
-    p = gt.add_parser("enum", help="enumerate the patterns under a partition")
-    p.add_argument("--partition", required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_gt_enum)
-    p = gt.add_parser("idem", help="idempotent data attached to each pattern")
-    p.add_argument("--partition", required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_gt_idem)
-
-    branch = groups.add_parser("branch", help="restriction checks").add_subparsers(
-        dest="verb", required=True
-    )
-    p = branch.add_parser("check", help="compare a module against its restriction")
-    p.add_argument("--partition", required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_branch_check)
-
-    weights = groups.add_parser("weights", help="weight enumeration").add_subparsers(
-        dest="verb", required=True
-    )
-    p = weights.add_parser("schur", help="integer weights of given rank and size")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--dominant", action="store_true")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_weights_schur)
-
-    klr = groups.add_parser("klr", help="diagram algebra operations").add_subparsers(
-        dest="verb", required=True
-    )
-    p = klr.add_parser("nf", help="normal form of an element document")
-    p.add_argument("--in", dest="infile", metavar="FILE", default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_klr_nf)
-    p = klr.add_parser("degree", help="degrees of the terms of an element document")
-    p.add_argument("--in", dest="infile", metavar="FILE", default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_klr_degree)
-    p = klr.add_parser("factor", help="pull sorted runs out of an idempotent")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--blocks", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_klr_factor)
-
-    cyc = groups.add_parser("cyc", help="cyclotomic quotient checks").add_subparsers(
-        dest="verb", required=True
-    )
-    p = cyc.add_parser("reduce", help="reduce an element document in the quotient")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--in", dest="infile", metavar="FILE", default=None)
-    _add_cap_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_cyc_reduce)
-    p = cyc.add_parser("gdim", help="graded Hom dimension between two idempotents")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--seq2", default=None)
-    _add_cap_flags(p)
-    _add_cache_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_cyc_gdim)
-    p = cyc.add_parser("compare", help="graded Hom dimension against the bilinear-form oracle")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--seq2", default=None)
-    _add_cap_flags(p)
-    _add_cache_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_cyc_compare)
-    p = cyc.add_parser("sl2-vanish", help="one-row vanishing certificate")
-    p.add_argument("--partition", required=True)
-    _add_cap_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_cyc_sl2_vanish)
-    p = cyc.add_parser("weyl-vanish", help="negative region-weight vanishing")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--seq", required=True)
-    _add_cap_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_cyc_weyl_vanish)
-    p = cyc.add_parser("gt-ortho", help="pairwise vanishing between pattern idempotents")
-    p.add_argument("--partition", required=True)
-    _add_cap_flags(p)
-    _add_cache_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_cyc_gt_ortho)
-
-    oracle = groups.add_parser("oracle", help="quantum-module oracles").add_subparsers(
-        dest="verb", required=True
-    )
-    p = oracle.add_parser("gram", help="bilinear-form matrix on a weight space")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--beta", required=True)
-    _add_cache_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_oracle_gram)
-
-    suite = groups.add_parser("suite", help="batch verification").add_subparsers(
-        dest="verb", required=True
-    )
-    p = suite.add_parser("acceptance", help="run every acceptance criterion")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_suite_acceptance)
-
+    for group, (group_help, verbs) in COMMANDS.items():
+        subparsers = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="verb", required=True
+        )
+        for verb, func, flags, verb_help in verbs:
+            p = subparsers.add_parser(verb, help=verb_help)
+            for name in flags:
+                option, kwargs = FLAGS[name]
+                p.add_argument(option, **kwargs)
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+            p.add_argument("--out", metavar="FILE", default=None)
+            p.set_defaults(func=func)
     return parser
 
 

@@ -106,9 +106,6 @@ class GlWeight:
     def __init__(self, entries):
         self.entries = tuple(int(e) for e in entries)
 
-    def is_polynomial(self):
-        return all(e >= 0 for e in self.entries)
-
     def is_dominant(self):
         return all(self.entries[i] >= self.entries[i + 1] for i in range(len(self.entries) - 1))
 

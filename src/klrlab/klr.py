@@ -599,9 +599,6 @@ class SpecialIdempotentSpec:
         out.extend(self.tail)
         return tuple(out)
 
-    def block_count(self):
-        return len(self.xi)
-
     def __eq__(self, other):
         return (
             isinstance(other, SpecialIdempotentSpec)

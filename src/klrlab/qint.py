@@ -459,10 +459,6 @@ def _exact_div(a, b):
     return laurent_divexact(a, b)
 
 
-def _is_zero_entry(a):
-    return a == 0 if isinstance(a, int) else a.is_zero()
-
-
 def row_echelon_bareiss(rows):
     """Fraction-free row reduction; returns (pivot column list, reduced rows).
 
@@ -478,7 +474,7 @@ def row_echelon_bareiss(rows):
     for c in range(ncols):
         piv = None
         for i in range(r, len(m)):
-            if not _is_zero_entry(m[i][c]):
+            if m[i][c]:
                 piv = i
                 break
         if piv is None:

@@ -8,6 +8,7 @@ from .qint import (
     LaurentPoly,
     matrix_rank,
     quantum_integer,
+    row_echelon_bareiss,
     solve_linear,
     times_quantum_integer,
 )
@@ -254,6 +255,10 @@ def build_irreducible(hw, depth=None):
     and assemble the E and F actions as exact matrices; K_i acts on each basis vector
     by q to the i-th entry of its weight.
 
+    The basis of a weight space is the pivot columns of one fraction-free elimination of
+    the Gram matrix of its candidate words.  That matrix is symmetric, so its sub-matrix
+    on the pivots has full rank: it is the weight space's Gram matrix.
+
     A word outside the basis gets its coordinates by solving against the Gram matrix of
     the basis words of its weight.  A basis word has unit coordinates, without a solve:
     that Gram matrix is nonsingular by construction, so the unit vector is its only
@@ -267,34 +272,30 @@ def build_irreducible(hw, depth=None):
     if depth is None:
         depth = exhaustion_depth(hw)
     basis = [()]
-    layers = [[()]]
+    weights = [hw]
+    grams_by_weight = {hw: [[LaurentPoly.one()]]}
+    layer = [()]
     for level in range(1, depth + 1):
         cands = {}
-        for u in layers[-1]:
+        for u in layer:
             for i in range(1, rank + 1):
                 w = u + (i,)
                 cands.setdefault(monomial_weight(hw, w), set()).add(w)
-        newlayer = []
+        layer = []
         for wt in sorted(cands):
-            kept = []
-            for w in sorted(cands[wt]):
-                rows = kept + [w]
-                gram = [[gram_entry(hw, a, b) for b in rows] for a in rows]
-                if matrix_rank(gram) == len(rows):
-                    kept.append(w)
-            newlayer.extend(kept)
-        if not newlayer:
+            words = sorted(cands[wt])
+            gram = [[gram_entry(hw, a, b) for b in words] for a in words]
+            pivots, _ = row_echelon_bareiss(gram)
+            if pivots:
+                layer.extend(words[j] for j in pivots)
+                weights.extend([wt] * len(pivots))
+                grams_by_weight[wt] = [[gram[a][b] for b in pivots] for a in pivots]
+        if not layer:
             break
-        layers.append(newlayer)
-        basis.extend(newlayer)
-    weights = [monomial_weight(hw, w) for w in basis]
+        basis.extend(layer)
     basis_idx = {}
     for idx, wt in enumerate(weights):
         basis_idx.setdefault(wt, []).append(idx)
-    grams_by_weight = {
-        wt: [[gram_entry(hw, basis[a], basis[b]) for b in idxs] for a in idxs]
-        for wt, idxs in basis_idx.items()
-    }
     dim = len(basis)
     zero = LaurentFrac.zero()
     e_mats = {i: [[zero] * dim for _ in range(dim)] for i in range(1, rank + 1)}

@@ -4,8 +4,11 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +142,7 @@ PLAIN_FILE = "<plain file>"
         (["cyc", "reduce", "--partition", "2,0"], FLOAT_ELEMENT),
         (["klr", "nf"], BOOL_RANK_ELEMENT),
         (["klr", "nf"], STRING_LABEL_ELEMENT),
+        (["cyc", "compare", "--partition", "3", "--seq", ""], ""),
     ],
 )
 def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):
@@ -150,6 +154,37 @@ def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and err.startswith("error: ")
     assert list(tmp_path.iterdir()) == [plain] and plain.read_text() == ""
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+# The README's command lines; `suite acceptance` is run by tests/test_acceptance.py.
+README_COMMANDS = [
+    line
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+    for line in block.splitlines()
+    if line.startswith("klrlab ") and not line.startswith("klrlab suite acceptance")
+]
+
+
+@pytest.mark.parametrize(
+    "line", README_COMMANDS, ids=lambda line: line.partition("#")[0].strip()
+)
+def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
+    """Each README command exits 0 with one JSON document, the one its comment shows if any."""
+    (element,) = re.findall(r"```json\n(.*?)```", README, re.S)
+    (tmp_path / "element.json").write_text(element)
+    monkeypatch.chdir(tmp_path)
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)[1:]
+    _, verbs = cli.COMMANDS[argv[0]]
+    if any(verb == argv[1] and "cache-dir" in flags for verb, _, flags, _ in verbs):
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0
+    comment = comment.strip()
+    if comment.startswith("{"):
+        expected, _ = json.JSONDecoder().raw_decode(comment)
+        assert doc == expected
 
 
 def test_weights_schur(capsys):
