@@ -298,17 +298,6 @@ def _dense_divexact(f, g):
     return q
 
 
-def laurent_divexact(a, b):
-    """Exact division of Laurent polynomials; the quotient must have integer coefficients."""
-    if b.is_zero():
-        raise ZeroDivisionError("laurent division by zero")
-    if a.is_zero():
-        return LaurentPoly.zero()
-    sa, fa = _to_dense(a)
-    sb, fb = _to_dense(b)
-    return _from_dense(sa - sb, _dense_divexact(fa, fb))
-
-
 # the terms of the denominator 1
 _UNIT = {0: 1}
 
@@ -444,26 +433,21 @@ class LaurentFrac:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination (Bareiss) over Z or Z[q, q^{-1}]
+# fraction-free elimination (Bareiss) over Z, and Laurent matrices evaluated into it
 
 def _exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact integer division in elimination")
-        return q
-    if isinstance(a, int):
-        a = LaurentPoly({0: a})
-    if isinstance(b, int):
-        b = LaurentPoly({0: b})
-    return laurent_divexact(a, b)
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact integer division in elimination")
+    return q
 
 
 def row_echelon_bareiss(rows):
-    """Fraction-free row reduction; returns (pivot column list, reduced rows).
+    """Fraction-free row reduction of an integer matrix; returns (pivot column list,
+    reduced rows).  Works on a copy.
 
-    Works in place on a copy, entries are ints or LaurentPolys.
-    """
+    Every intermediate entry is a minor of the input (Bareiss, from Sylvester's
+    identity), so each division is exact."""
     m = [list(r) for r in rows]
     if not m:
         return [], m
@@ -480,11 +464,14 @@ def row_echelon_bareiss(rows):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, len(m)):
+        top = m[r]
+        p = top[c]
+        for row in m[r + 1 :]:
+            f = row[c]
             for j in range(c + 1, ncols):
-                m[i][j] = _exact_div(m[r][c] * m[i][j] - m[i][c] * m[r][j], prev)
-            m[i][c] = 0 if isinstance(m[i][c], int) else LaurentPoly.zero()
-        prev = m[r][c]
+                row[j] = _exact_div(p * row[j] - f * top[j], prev)
+            row[c] = 0
+        prev = p
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -492,26 +479,80 @@ def row_echelon_bareiss(rows):
     return pivots, m
 
 
+def _evaluate(rows, spare_bits=0):
+    """A matrix of ints and LaurentPolys as an integer matrix at a certified point q = 2^k;
+    returns (integer rows, k).
+
+    Each row is first multiplied by the power of q that makes it polynomial, a unit, so
+    no minor changes whether it is zero.  With B = prod_i max(1, sum_j |M_ij|_1), every
+    minor has l1 norm at most B (expand the product of the row sums), and a nonzero
+    integer polynomial has no root of modulus at least its l1 norm (Cauchy's bound).
+    So with k = B.bit_length() + spare_bits no minor vanishes at 2^k unless it is 0,
+    and `row_echelon_bareiss`, whose intermediate entries are all minors, takes the
+    same row swaps and pivot columns on the integers as on the polynomials."""
+    terms = []
+    bound = 1
+    for row in rows:
+        ts = [e._t if isinstance(e, LaurentPoly) else {0: e} if e else {} for e in row]
+        bound *= max(1, sum([abs(c) for t in ts for c in t.values()]))
+        terms.append((min([e for t in ts for e in t], default=0), ts))
+    k = bound.bit_length() + spare_bits
+    return [[sum([c << k * (e - lo) for e, c in t.items()]) for t in ts] for lo, ts in terms], k
+
+
+def _from_balanced_digits(v, k):
+    """The polynomial with coefficients in [-2^(k-1), 2^(k-1)) whose value at q = 2^k is v,
+    for k >= 2.  Each step divides |v| by 2^k and adds less than 1, so a value of b bits
+    has at most b // k + 2 digits."""
+    half = 1 << (k - 1)
+    mask = (1 << k) - 1
+    t = {}
+    for e in range(v.bit_length() // k + 2):
+        c = ((v + half) & mask) - half
+        if c:
+            t[e] = c
+        v = (v - c) >> k
+    out = LaurentPoly()
+    out._t = t
+    return out
+
+
+def pivot_columns(rows):
+    """The pivot columns of the row echelon form of a matrix of ints and LaurentPolys.
+
+    A single row's pivot is its first nonzero column; a larger matrix is eliminated
+    over Z at a certified point (`_evaluate`)."""
+    if len(rows) == 1:
+        return next(([c] for c, e in enumerate(rows[0]) if e), [])
+    return row_echelon_bareiss(_evaluate(rows)[0])[0]
+
+
 def matrix_rank(rows):
-    """Rank of an integer or Laurent-polynomial matrix, via fraction-free elimination."""
-    pivots, _ = row_echelon_bareiss(rows)
-    return len(pivots)
+    """Rank of an integer or Laurent-polynomial matrix."""
+    return len(pivot_columns(rows))
 
 
 def solve_linear(matrix, rhs):
     """Solve M x = rhs exactly, as a list of LaurentFracs; entries are ints or LaurentPolys.
 
-    `[M | rhs]` is eliminated fraction-free; M is nonsingular iff the pivots are the
-    columns 0..n-1 (else ArithmeticError), and one back substitution gives x."""
+    `[M | rhs]` is evaluated one bit past its certified point q = 2^k (`_evaluate`) and
+    eliminated over Z; M is nonsingular iff the pivots are the columns 0..n-1 (else
+    ArithmeticError).  Back substitution without fractions gives P_i = D x_i, with D
+    the last pivot.  D and P_i are det M and det M_i (Cramer's rule), minors of
+    [M | rhs] whose coefficients lie below 2^(k-1) in absolute value, so each is read
+    back from its balanced base-2^k digits.  A single equation m x = b with m nonzero
+    is x = b/m, without the evaluation."""
     n = len(matrix)
-    pivots, m = row_echelon_bareiss([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if n == 1 and matrix[0][0]:
+        return [LaurentFrac(rhs[0], matrix[0][0])]
+    rows, k = _evaluate([list(row) + [b] for row, b in zip(matrix, rhs)], 1)
+    pivots, m = row_echelon_bareiss(rows)
     if pivots != list(range(n)):
         raise ArithmeticError("singular system")
-    x = [None] * n
+    d = m[n - 1][n - 1] if n else 1
+    p = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = LaurentFrac(m[i][n])
-        for j in range(i + 1, n):
-            if m[i][j]:
-                acc = acc - x[j] * m[i][j]
-        x[i] = acc / m[i][i]
-    return x
+        acc = d * m[i][n] - sum(m[i][j] * p[j] for j in range(i + 1, n))
+        p[i] = _exact_div(acc, m[i][i])
+    den = _from_balanced_digits(d, k)
+    return [LaurentFrac(_from_balanced_digits(v, k), den) for v in p]

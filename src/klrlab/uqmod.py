@@ -7,8 +7,8 @@ from .qint import (
     LaurentFrac,
     LaurentPoly,
     matrix_rank,
+    pivot_columns,
     quantum_integer,
-    row_echelon_bareiss,
     solve_linear,
     times_quantum_integer,
 )
@@ -75,8 +75,9 @@ def gram_entry(hw, u, w):
     the word w[:t] + w[t+1:] with the quantum integer of the weight of F_{w[:t]} v.  The
     deletions are grouped by the word they leave and their coefficients summed first, so
     each distinct remaining word is paired with head once (a string F_i^k v has one, not k),
-    and a word whose summed coefficient is zero is not paired at all.  A letter outside
-    1..len(hw) raises ValueError.
+    and a word whose summed coefficient is zero is not paired at all.  The form is
+    symmetric, so the pair is memoized in sorted order.  A letter outside 1..len(hw)
+    raises ValueError.
     """
     hw = tuple(hw)
     su, sw = sorted(u), sorted(w)
@@ -85,7 +86,7 @@ def gram_entry(hw, u, w):
         raise ValueError(f"word letters must lie in 1..{rank}")
     if su != sw:
         return LaurentPoly.zero()
-    return _gram_entry(hw, tuple(u), tuple(w))
+    return _gram_entry(hw, *sorted((tuple(u), tuple(w))))
 
 
 @functools.cache
@@ -255,8 +256,8 @@ def build_irreducible(hw, depth=None):
     and assemble the E and F actions as exact matrices; K_i acts on each basis vector
     by q to the i-th entry of its weight.
 
-    The basis of a weight space is the pivot columns of one fraction-free elimination of
-    the Gram matrix of its candidate words.  That matrix is symmetric, so its sub-matrix
+    The basis of a weight space is the pivot columns (`pivot_columns`) of the Gram
+    matrix of its candidate words.  That matrix is symmetric, so its sub-matrix
     on the pivots has full rank: it is the weight space's Gram matrix.
 
     A word outside the basis gets its coordinates by solving against the Gram matrix of
@@ -285,7 +286,7 @@ def build_irreducible(hw, depth=None):
         for wt in sorted(cands):
             words = sorted(cands[wt])
             gram = [[gram_entry(hw, a, b) for b in words] for a in words]
-            pivots, _ = row_echelon_bareiss(gram)
+            pivots = pivot_columns(gram)
             if pivots:
                 layer.extend(words[j] for j in pivots)
                 weights.extend([wt] * len(pivots))

@@ -13,6 +13,7 @@ from klrlab.uqmod import (
     HighestWeightModule,
     ShapovalovGram,
     _coords_in_basis,
+    _gram_entry,
     branching_character_check,
     build_irreducible,
     exhaustion_depth,
@@ -213,6 +214,39 @@ def test_grouped_gram_matches_the_ungrouped_recursion():
         for beta in contents:
             for u, w in itertools.product(weight_words(beta), repeat=2):
                 assert gram_entry(hw, u, w) == _ungrouped_gram(hw, u, w, memo), (hw, u, w)
+
+
+def _partition_of(hw):
+    """The partition with a trailing zero part whose successive differences are hw."""
+    parts = [0]
+    for x in reversed(hw):
+        parts.append(parts[-1] + x)
+    return tuple(reversed(parts))
+
+
+def test_gram_entry_is_symmetric_on_the_module_family():
+    # the 69 dominant highest weights of rank 1-4 with Weyl dimension <= 30, and every
+    # root content in the box [0, lambda_1] whose weight space has at most 12 words;
+    # gram_entry memoizes one order of each pair, so the two orders are compared on the
+    # recursion itself
+    family = [(m,) for m in range(30)]
+    for rank in range(2, 5):
+        for hw in itertools.product(range(8), repeat=rank):
+            if weyl_dim(_partition_of(hw)) <= 30:
+                family.append(hw)
+    assert len(family) == 69
+    pairs = 0
+    for hw in family:
+        top = _partition_of(hw)[0]
+        for beta in itertools.product(range(top + 1), repeat=len(hw)):
+            words = weight_words(beta)
+            if not any(beta) or len(words) > 12:
+                continue
+            for u, w in itertools.product(words, repeat=2):
+                assert _gram_entry(hw, u, w) == _gram_entry(hw, w, u), (hw, u, w)
+                assert gram_entry(hw, u, w) == gram_entry(hw, w, u), (hw, u, w)
+                pairs += 1
+    assert pairs == 19552
 
 
 def test_gram_entry_rejects_letters_outside_the_rank():
