@@ -438,14 +438,19 @@ def gdim_hom(e, e2, ctx):
 
     Each degree's dimension is exact (its rows span the ideal piece).  The sweep runs from
     the least crossing degree until the top two computed degrees vanish, or the degree
-    cap is hit (then the status is capped).
+    cap is hit (then the status is capped).  A label outside 1..ctx.rank raises
+    ValueError.
     """
     e = tuple(int(v) for v in e)
     e2 = tuple(int(v) for v in e2)
-    if sorted(e) != sorted(e2):
+    s, s2 = sorted(e), sorted(e2)
+    if s and (s[0] < 1 or s[-1] > ctx.rank) or s2 and (s2[0] < 1 or s2[-1] > ctx.rank):
+        raise ValueError(f"strand labels must lie in 1..{ctx.rank}")
+    if s != s2:
         return LaurentPoly.zero(), EXACT
     if ctx.rank == 0:
-        return (LaurentPoly.one() if e == () else LaurentPoly.zero()), EXACT
+        # no label lies in 1..0, so e = e2 = ()
+        return LaurentPoly.one(), EXACT
     dmin = min(cd for _, _, cd in _compatible_perms(e, e2))
     dims = {}
     delta = dmin

@@ -240,7 +240,10 @@ class KLRElement:
             c = _coeff_from_json(t["coeff"])
             w = KLRWord.from_json(t["word"])
             terms[w] = terms.get(w, 0) + c
-        return cls(_int_from_json(data["rank"], "rank"), terms)
+        rank = _int_from_json(data["rank"], "rank")
+        if rank < 0:
+            raise ValueError(f"bad rank {rank}: expected a nonnegative integer")
+        return cls(rank, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -563,6 +566,8 @@ def decorate_regions(x, start):
     lab = list(start.entries if isinstance(start, GlWeight) else (int(v) for v in start))
     m = len(lab)
     for j in seq:
+        if j < 1:
+            raise ValueError(f"strand label {j} is below 1")
         if j + 1 > m:
             raise ValueError(f"strand label {j} needs {j + 1} region coordinates, have {m}")
         lab[j - 1] -= 1

@@ -239,31 +239,21 @@ class HighestWeightModule:
         return f"HighestWeightModule(hw={self.hw}, dim={self.dim()})"
 
 
-def _coords_in_basis(hw, word, basis_idx, basis, grams_by_weight):
-    """Coordinates of a monomial image in the chosen basis of its weight space."""
-    wt = monomial_weight(hw, word)
-    idxs = basis_idx.get(wt)
-    if not idxs:
-        return {}
-    gram = grams_by_weight[wt]
-    rhs = [gram_entry(hw, basis[j], word) for j in idxs]
-    sol = solve_linear(gram, rhs)
-    return {idxs[r]: sol[r] for r in range(len(idxs)) if not sol[r].is_zero()}
-
-
 def build_irreducible(hw, depth=None):
     """Span F-monomials layer by layer, keep a pivot basis of the nondegenerate quotient,
     and assemble the E and F actions as exact matrices; K_i acts on each basis vector
     by q to the i-th entry of its weight.
 
-    The basis of a weight space is the pivot columns (`pivot_columns`) of the Gram
-    matrix of its candidate words.  That matrix is symmetric, so its sub-matrix
-    on the pivots has full rank: it is the weight space's Gram matrix.
+    The candidates of a layer are the words u + (i,) for the basis words u of the layer
+    before, so they are the F images of that layer.  The basis of a weight space is the
+    pivot columns (`pivot_columns`) of its candidates' Gram matrix.  That matrix is
+    symmetric, so its sub-matrix on the pivots has full rank: it is the weight space's
+    Gram matrix.  A pivot word has unit coordinates; any other candidate solves that
+    matrix against its own Gram column, which the elimination has already seen.
 
-    A word outside the basis gets its coordinates by solving against the Gram matrix of
-    the basis words of its weight.  A basis word has unit coordinates, without a solve:
-    that Gram matrix is nonsingular by construction, so the unit vector is its only
-    solution."""
+    E needs no form: E_i v = 0, and a basis word u = p + (x,) has p in the basis, so
+    E_i F_u v = F_x E_i F_p v + [i = x] [wt(p)_i] F_p v, from E_i F_x - F_x E_i = [h_i]
+    on F_p v; both terms are columns already built."""
     hw = tuple(int(x) for x in hw)
     if any(x < 0 for x in hw):
         raise ValueError("highest weight must be dominant")
@@ -272,60 +262,64 @@ def build_irreducible(hw, depth=None):
         raise ValueError("need at least one node")
     if depth is None:
         depth = exhaustion_depth(hw)
-    basis = [()]
+    index = {(): 0}  # basis word -> basis index, in basis order
     weights = [hw]
     grams_by_weight = {hw: [[LaurentPoly.one()]]}
+    f_cols = {}  # (i, col) -> the nonzero coordinates {row: value} of F_i on basis vector col
     layer = [()]
     for level in range(1, depth + 1):
         cands = {}
         for u in layer:
             for i in range(1, rank + 1):
                 w = u + (i,)
-                cands.setdefault(monomial_weight(hw, w), set()).add(w)
+                cands.setdefault(monomial_weight(hw, w), []).append(w)
         layer = []
         for wt in sorted(cands):
             words = sorted(cands[wt])
             gram = [[gram_entry(hw, a, b) for b in words] for a in words]
             pivots = pivot_columns(gram)
-            if pivots:
-                layer.extend(words[j] for j in pivots)
-                weights.extend([wt] * len(pivots))
-                grams_by_weight[wt] = [[gram[a][b] for b in pivots] for a in pivots]
+            if not pivots:
+                continue
+            sub = grams_by_weight[wt] = [[gram[a][b] for b in pivots] for a in pivots]
+            base = len(index)
+            pos = {j: base + r for r, j in enumerate(pivots)}
+            for j, w in enumerate(words):
+                if j in pos:
+                    coords = {pos[j]: LaurentFrac.one()}
+                else:
+                    sol = solve_linear(sub, [gram[a][j] for a in pivots])
+                    coords = {base + r: v for r, v in enumerate(sol) if not v.is_zero()}
+                f_cols[w[-1], index[w[:-1]]] = coords
+            index.update((words[j], row) for j, row in pos.items())
+            layer.extend(words[j] for j in pivots)
+            weights.extend([wt] * len(pivots))
         if not layer:
             break
-        basis.extend(layer)
-    basis_idx = {}
-    for idx, wt in enumerate(weights):
-        basis_idx.setdefault(wt, []).append(idx)
-    dim = len(basis)
+    e_cols = {}
+    for u, col in index.items():
+        if not u:
+            continue
+        p, x = index[u[:-1]], u[-1]
+        for i in range(1, rank + 1):
+            acc = {}
+            for r, val in e_cols.get((i, p), {}).items():
+                for row, fv in f_cols.get((x, r), {}).items():
+                    acc[row] = acc[row] + val * fv if row in acc else val * fv
+            if i == x:
+                h = quantum_integer(weights[p][i - 1])
+                acc[p] = acc[p] + h if p in acc else LaurentFrac(h)
+            e_cols[i, col] = {row: v for row, v in acc.items() if not v.is_zero()}
+    dim = len(index)
     zero = LaurentFrac.zero()
     e_mats = {i: [[zero] * dim for _ in range(dim)] for i in range(1, rank + 1)}
     f_mats = {i: [[zero] * dim for _ in range(dim)] for i in range(1, rank + 1)}
-    coord_memo = {w: {idx: LaurentFrac.one()} for idx, w in enumerate(basis)}
-
-    def coords(word):
-        if word not in coord_memo:
-            coord_memo[word] = _coords_in_basis(hw, word, basis_idx, basis, grams_by_weight)
-        return coord_memo[word]
-
-    for col, u in enumerate(basis):
-        for i in range(1, rank + 1):
-            for row, val in coords(u + (i,)).items():
-                f_mats[i][row][col] = val
-            # E_i deletes each letter i of u; as in _gram_entry, one run's deletions leave
-            # one word, with the summed coefficient [r][a-r+1]
-            acc = {}
-            for start, r, a in _runs(hw, u, i)[0]:
-                if a == r - 1:
-                    continue
-                c = times_quantum_integer(quantum_integer(r), a - r + 1)
-                for row, val in coords(u[:start] + u[start + 1 :]).items():
-                    prev = acc.get(row, LaurentFrac.zero())
-                    acc[row] = prev + val * c
-            for row, val in acc.items():
-                if not val.is_zero():
-                    e_mats[i][row][col] = val
-    return HighestWeightModule(rank, hw, depth, basis, weights, e_mats, f_mats, grams_by_weight)
+    for mats, cols in ((e_mats, e_cols), (f_mats, f_cols)):
+        for (i, col), coords in cols.items():
+            for row, val in coords.items():
+                mats[i][row][col] = val
+    return HighestWeightModule(
+        rank, hw, depth, list(index), weights, e_mats, f_mats, grams_by_weight
+    )
 
 
 def _sparse(mat):

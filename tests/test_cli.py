@@ -143,6 +143,7 @@ PLAIN_FILE = "<plain file>"
         (["klr", "nf"], BOOL_RANK_ELEMENT),
         (["klr", "nf"], STRING_LABEL_ELEMENT),
         (["cyc", "compare", "--partition", "3", "--seq", ""], ""),
+        (["klr", "nf"], '{"rank": -3, "terms": []}'),
     ],
 )
 def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):

@@ -93,6 +93,16 @@ def test_gdim_examples():
     assert p.is_zero() and st == EXACT
 
 
+def test_gdim_rejects_labels_outside_the_rank():
+    ctx = make_context(Partition((2, 1, 0)))
+    for e, e2 in [((0,), (0,)), ((0, 1), (0, 1)), ((0, 1), (1, 0)), ((3,), (3,)), ((1, 3), (3, 1)),
+                  ((1,), (0,)), ((3,), (1,)), ((2, -1), (2,))]:
+        with pytest.raises(ValueError):
+            gdim_hom(e, e2, ctx)
+    p, st = gdim_hom((1, 2), (2, 1), ctx)
+    assert st == EXACT and p == gram_entry((1, 1), (1, 2), (2, 1))
+
+
 def oracle_slice(lam, hw, betas):
     """Compare every Hom matrix against the contravariant form, with no shift."""
     ctx = make_context(Partition(lam))
@@ -489,6 +499,13 @@ def test_weyl_vanishing():
     ctx3 = make_context(Partition((1, 0, 0)))
     assert weyl_vanishing_check((1, 1), ctx3)
     assert weyl_vanishing_check((1, 2), ctx3)
+
+
+def test_weyl_vanishing_rejects_labels_outside_the_rank():
+    ctx = make_context(Partition((2, 1, 1)))
+    for idem in [(0,), (1, 0), (3,), (2, 3)]:
+        with pytest.raises(ValueError):
+            weyl_vanishing_check(idem, ctx)
 
 
 def test_hom_record_shape():

@@ -353,6 +353,9 @@ def test_decorate_regions_example():
     assert flags == (False, False, False)
     with pytest.raises(ValueError):
         decorate_regions((3,), (1, 0, 0))
+    for seq in [(0,), (1, 0), (-1,)]:
+        with pytest.raises(ValueError):
+            decorate_regions(seq, (2, 1, 1))
 
 
 def test_strand_seq_and_json_roundtrips():
@@ -364,6 +367,10 @@ def test_strand_seq_and_json_roundtrips():
     assert KLRWord.from_json(w.to_json()) == w
     e = KLRElement(2, {w: 3, KLRWord(2, (1, 2), [("dot", 1), ("cross", 1)]): -1})
     assert KLRElement.from_json(e.to_json()) == e
+    # rank 0 is the one-part quotient's; a negative rank is no rank at all
+    assert KLRElement.from_json({"rank": 0, "terms": []}) == KLRElement(0)
+    with pytest.raises(ValueError):
+        KLRElement.from_json({"rank": -3, "terms": []})
     spec = SpecialIdempotentSpec(3, (1, 2), (1, 1))
     assert SpecialIdempotentSpec.from_json(spec.to_json()) == spec
     assert spec.bottom() == (1, 2, 3, 2, 3, 1, 1)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,6 @@ from klrlab.qint import LaurentFrac, LaurentPoly, quantum_integer
 from klrlab.uqmod import (
     HighestWeightModule,
     ShapovalovGram,
-    _coords_in_basis,
     _gram_entry,
     branching_character_check,
     build_irreducible,
@@ -264,25 +264,50 @@ EF_DIGESTS = {
 }
 
 
+def ef_sha256(mod):
+    """sha256 of the basis and the E/F records, as perfbench's `module` workload hashes them."""
+    mats = [
+        [[v.to_record() for v in row] for row in side[i]]
+        for side in (mod.e_mats, mod.f_mats)
+        for i in sorted(side)
+    ]
+    doc = json.dumps([list(w) for w in mod.basis] + mats, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
 def test_ef_matrices_match_recorded_digests():
     for hw, want in EF_DIGESTS.items():
-        mod = build_irreducible(hw)
-        mats = [
-            [[v.to_record() for v in row] for row in side[i]]
-            for side in (mod.e_mats, mod.f_mats)
-            for i in sorted(side)
-        ]
-        doc = json.dumps([list(w) for w in mod.basis] + mats, sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == want, hw
+        assert ef_sha256(build_irreducible(hw)) == want, hw
 
 
-def test_basis_words_have_unit_coordinates():
-    # build_irreducible gives basis words these coordinates without solving
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def test_ef_matrices_match_every_benchmark_reference():
+    # the `module` workload's reference digests: the first 16 hex digits of the same sha256
+    refs = json.loads(REFERENCE.read_text(encoding="utf-8"))["module"]
+    assert len(refs) == 69
+    for key, want in refs.items():
+        hw = tuple(json.loads(key))
+        assert ef_sha256(build_irreducible(hw))[:16] == want, hw
+
+
+def test_f_of_a_basis_word_onto_a_basis_word_is_a_unit_column():
+    # build_irreducible gives these images unit coordinates without solving
     for hw in [(2, 1), (1, 1, 1), (5,)]:
         mod = build_irreducible(hw)
-        for idx, w in enumerate(mod.basis):
-            got = _coords_in_basis(mod.hw, w, mod.weight_spaces, mod.basis, mod.grams)
-            assert got == {idx: LaurentFrac.one()}, (hw, w)
+        index = {w: idx for idx, w in enumerate(mod.basis)}
+        seen = 0
+        for col, u in enumerate(mod.basis):
+            for i in range(1, mod.rank + 1):
+                row = index.get(u + (i,))
+                if row is None:
+                    continue
+                seen += 1
+                column = [mod.f_mats[i][r][col] for r in range(mod.dim())]
+                assert column[row] == LaurentFrac.one(), (hw, u, i)
+                assert all(v.is_zero() for r, v in enumerate(column) if r != row), (hw, u, i)
+        assert seen == mod.dim() - 1, hw
 
 
 def test_verify_relations_good_modules():
@@ -317,7 +342,8 @@ def test_verify_relations_detects_mutation():
 
 
 def test_biadjointness_on_basis():
-    for hw in [(2,), (1, 1), (2, 1)]:
+    # E is built from F and [E_i, F_i]; this ties it to the contravariant form
+    for hw in [(2,), (1, 1), (2, 1), (1, 0, 1), (3, 1), (1, 1, 1)]:
         mod = build_irreducible(hw)
 
         def pair(r, c):
