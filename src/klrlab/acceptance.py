@@ -33,7 +33,13 @@ from .klr import (
     multiply,
     normal_form,
 )
-from .uqmod import build_irreducible, gram_entry, verify_relations, weight_words
+from .uqmod import (
+    branching_character_check,
+    build_irreducible,
+    gram_entry,
+    verify_relations,
+    weight_words,
+)
 
 
 def _partitions_exact(parts, max_size):
@@ -65,14 +71,20 @@ def _random_word(rng, max_rank=3, max_strands=4, max_ops=6):
 
 
 def check_branching_dimension_sums():
-    count = 0
+    """The Weyl dimensions of the interlacing family sum to lam's, and where lam's Weyl
+    dimension is at most 20 the module check reads the same family off V(lam)."""
+    count = modules = 0
     for parts in (3, 4):
         for lam in _partitions_exact(parts, 6):
             total = sum(weyl_dim(mu) for mu in interlacing_set(lam, "all"))
             if total != weyl_dim(lam):
                 return False, f"sum mismatch at {tuple(lam)}"
             count += 1
-    return True, f"{count} partitions"
+            if weyl_dim(lam) <= 20:
+                if not branching_character_check(lam)["ok"]:
+                    return False, f"module check fails at {tuple(lam)}"
+                modules += 1
+    return True, f"{count} partitions, {modules} read off their modules"
 
 
 def check_gt_pattern_counts():

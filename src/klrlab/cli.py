@@ -83,10 +83,9 @@ def parse_beta(text):
 
 
 def cap_kwargs(args):
-    """The degree cap as keyword arguments; `--dot-cap` is validated, then ignored."""
-    for flag, value in (("--deg-cap", args.deg_cap), ("--dot-cap", args.dot_cap)):
-        if value is not None and value < 1:
-            raise UsageError(f"{flag} must be >= 1")
+    """The degree cap as keyword arguments."""
+    if args.deg_cap is not None and args.deg_cap < 1:
+        raise UsageError("--deg-cap must be >= 1")
     return {} if args.deg_cap is None else {"degree_cap": args.deg_cap}
 
 
@@ -273,16 +272,13 @@ def cmd_cyc_reduce(args):
 
 def hom_inputs(args):
     """The partition, the two sequences (`--seq2` defaults to `--seq`), the quotient
-    context and the cache key of `cyc gdim` and `cyc compare`.  The key's last field is the
-    dot cap the library used to default to, whatever `--dot-cap` says, so that entries
-    written before keep their key."""
+    context and the cache key of `cyc gdim` and `cyc compare`."""
     lam = parse_partition(args.partition)
     e = parse_labels(args.seq)
     e2 = parse_labels(args.seq2) if args.seq2 is not None else e
     ctx = make_context(lam, **cap_kwargs(args))
     check_labels(e + e2, ctx.rank)
-    dot_cap = max(1, lam.size() + max(ctx.weight, default=0))
-    key = [f"cyc {args.verb}", list(lam), list(e), list(e2), ctx.degree_cap, dot_cap]
+    key = [f"cyc {args.verb}", list(lam), list(e), list(e2), ctx.degree_cap]
     return lam, e, e2, ctx, key
 
 
@@ -344,9 +340,7 @@ def cmd_cyc_weyl_vanish(args):
 def cmd_cyc_gt_ortho(args):
     lam = parse_partition(args.partition)
     deg_cap = cap_kwargs(args).get("degree_cap", 2 * lam.size() + 4)
-    # None where the dot cap was: no computation reads it, and entries written without
-    # the flag keep their key.
-    key = ["cyc gt-ortho", list(lam), deg_cap, None]
+    key = ["cyc gt-ortho", list(lam), deg_cap]
 
     def compute():
         ok = gt_orthogonality_check(lam, degree_cap=deg_cap)
@@ -407,15 +401,10 @@ FLAGS = {
         "type": int,
         "help": "highest degree computed; a piece above it makes the result capped",
     }),
-    "dot-cap": ("--dot-cap", {
-        "type": int,
-        "help": "accepted (must be >= 1) but ignored: every graded piece is computed in"
-        " full, so a result is cached once for every value",
-    }),
     "require-exact": ("--require-exact", {"action": "store_true"}),
     "cache-dir": ("--cache-dir", {}),
 }
-CAPS = ("deg-cap", "dot-cap", "require-exact")
+CAPS = ("deg-cap", "require-exact")
 
 # Every command: group -> (help, [(verb, handler, names of its flags in order, help)]).
 # Each verb also takes --format and --out, after its own flags.

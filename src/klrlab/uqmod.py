@@ -1,6 +1,8 @@
 """Highest weight modules for the quantum group of type A, with exact contravariant forms."""
 
 import functools
+import math
+from collections import Counter
 
 from .combi import CartanA, Partition, interlacing_set, weight_of_partition, weyl_dim
 from .qint import (
@@ -212,10 +214,9 @@ def exhaustion_depth(hw):
 class HighestWeightModule:
     """An irreducible highest weight module with basis tagged by F-monomial words."""
 
-    def __init__(self, rank, hw, depth, basis, weights, e_mats, f_mats, grams):
+    def __init__(self, rank, hw, basis, weights, e_mats, f_mats, grams):
         self.rank = rank
         self.hw = tuple(hw)
-        self.depth = depth
         self.basis = tuple(basis)
         self.weights = tuple(weights)
         self.e_mats = e_mats
@@ -229,17 +230,11 @@ class HighestWeightModule:
     def dim(self):
         return len(self.basis)
 
-    def weight_multiset(self):
-        out = {}
-        for wt in self.weights:
-            out[wt] = out.get(wt, 0) + 1
-        return out
-
     def __repr__(self):
         return f"HighestWeightModule(hw={self.hw}, dim={self.dim()})"
 
 
-def build_irreducible(hw, depth=None):
+def build_irreducible(hw):
     """Span F-monomials layer by layer, keep a pivot basis of the nondegenerate quotient,
     and assemble the E and F actions as exact matrices; K_i acts on each basis vector
     by q to the i-th entry of its weight.
@@ -260,14 +255,12 @@ def build_irreducible(hw, depth=None):
     rank = len(hw)
     if rank < 1:
         raise ValueError("need at least one node")
-    if depth is None:
-        depth = exhaustion_depth(hw)
     index = {(): 0}  # basis word -> basis index, in basis order
     weights = [hw]
     grams_by_weight = {hw: [[LaurentPoly.one()]]}
     f_cols = {}  # (i, col) -> the nonzero coordinates {row: value} of F_i on basis vector col
     layer = [()]
-    for level in range(1, depth + 1):
+    for _ in range(exhaustion_depth(hw)):
         cands = {}
         for u in layer:
             for i in range(1, rank + 1):
@@ -317,9 +310,7 @@ def build_irreducible(hw, depth=None):
         for (i, col), coords in cols.items():
             for row, val in coords.items():
                 mats[i][row][col] = val
-    return HighestWeightModule(
-        rank, hw, depth, list(index), weights, e_mats, f_mats, grams_by_weight
-    )
+    return HighestWeightModule(rank, hw, list(index), weights, e_mats, f_mats, grams_by_weight)
 
 
 def _sparse(mat):
@@ -397,7 +388,14 @@ def verify_relations(module):
 
 
 def branching_character_check(lam):
-    """Compare the restricted weight multiset of one module against the interlacing family.
+    """Read the restriction of V(lam) from U_q(sl_{n+1}) to U_q(sl_n) off one module.
+
+    By complete reducibility, the vectors of a weight space that E_1 ... E_{n-1} all kill
+    span the sl_n highest-weight vectors of that weight, one per summand.  The branching
+    rule gives one summand per interlacing mu, whose highest weight in V(lam)'s
+    coordinates is (mu_1 - mu_2, ..., mu_{n-1} - mu_n, mu_n - (|lam| - |mu|)).  So the
+    check counts those kernels, each as the weight space's dimension less the rank of the
+    E rows restricted to it, with each row's denominators cleared.
 
     Returns a report dict with the total dimension on the left and the list of summand
     dimensions on the right, in enumeration order.
@@ -406,27 +404,26 @@ def branching_character_check(lam):
         lam = Partition(lam)
     if lam.part_count < 2:
         raise ValueError("need at least two parts")
-    hw = weight_of_partition(lam).entries
-    big = build_irreducible(hw)
-    restricted = {}
-    for wt, count in big.weight_multiset().items():
-        short = wt[:-1]
-        restricted[short] = restricted.get(short, 0) + count
-    rhs_dims = []
-    total = {}
+    module = build_irreducible(weight_of_partition(lam).entries)
+    n = module.rank
+    rhs = []
+    expected = Counter()
     for mu in interlacing_set(lam, "all"):
-        if mu.part_count >= 2:
-            small_hw = weight_of_partition(mu).entries
-        else:
-            small_hw = ()
-        if small_hw == ():
-            # rank-zero restriction: a single trivial weight
-            rhs_dims.append(1)
-            total[()] = total.get((), 0) + 1
-            continue
-        small = build_irreducible(small_hw)
-        rhs_dims.append(small.dim())
-        for wt, count in small.weight_multiset().items():
-            total[wt] = total.get(wt, 0) + count
-    ok = restricted == total and big.dim() == sum(rhs_dims)
-    return {"ok": ok, "lhs": big.dim(), "rhs": rhs_dims}
+        rhs.append(weyl_dim(mu))
+        m = mu.parts
+        top = tuple(m[i] - m[i + 1] for i in range(n - 1)) + (m[-1] - lam.size() + mu.size(),)
+        expected[top] += 1
+    found = {}
+    for wt, cols in module.weight_spaces.items():
+        rows = []
+        for i in range(1, n):
+            for row in module.e_mats[i]:
+                entries = [row[c] for c in cols]
+                if any(entries):
+                    scale = math.prod([e.den for e in entries], start=LaurentPoly.one())
+                    rows.append([(e * scale).as_poly() for e in entries])
+        kernel = len(cols) - matrix_rank(rows)
+        if kernel:
+            found[wt] = kernel
+    ok = found == expected and module.dim() == sum(rhs)
+    return {"ok": ok, "lhs": module.dim(), "rhs": rhs}

@@ -116,13 +116,13 @@ PLAIN_FILE = "<plain file>"
         (["klr", "degree"], "{not json"),
         (["cyc", "reduce", "--partition", "1,0"], "{not json"),
         (["cyc", "reduce", "--partition", "1,0", "--deg-cap", "0"], ""),
-        (["cyc", "reduce", "--partition", "1,0", "--dot-cap", "0"], ""),
+        (["cyc", "weyl-vanish", "--partition", "1,0", "--seq", "1", "--deg-cap", "0"], ""),
         (["cyc", "gdim", "--partition", "1,0", "--seq", "1", "--deg-cap", "-1"], ""),
-        (["cyc", "gdim", "--partition", "1,0", "--seq", "1", "--dot-cap", "0"], ""),
+        (["cyc", "compare", "--partition", "2,1,0", "--seq", "1", "--deg-cap", "0"], ""),
         (["cyc", "sl2-vanish", "--partition", "2,0", "--deg-cap", "0"], ""),
-        (["cyc", "sl2-vanish", "--partition", "2,0", "--dot-cap", "0"], ""),
+        (["weights", "schur", "--rank", "0", "--degree", "1"], ""),
         (["cyc", "gt-ortho", "--partition", "1,0", "--deg-cap", "0"], ""),
-        (["cyc", "gt-ortho", "--partition", "1,0", "--dot-cap", "-2"], ""),
+        (["klr", "factor", "--seq", ""], ""),
         (["cyc", "gdim", "--partition", "2,1,0", "--seq", "5"], ""),
         (["cyc", "gdim", "--partition", "2,1,0", "--seq", "1", "--seq2", "3"], ""),
         (["cyc", "compare", "--partition", "2,1,0", "--seq", "1", "--seq2", "5"], ""),
@@ -249,7 +249,7 @@ def test_cyc_reduce_and_require_exact(tmp_path, capsys):
         capsys,
         [
             "cyc", "reduce", "--partition", "2,0", "--in", path3,
-            "--deg-cap", "1", "--dot-cap", "1", "--require-exact",
+            "--deg-cap", "1", "--require-exact",
         ],
     )
     assert code == 1 and doc["status"] == "capped"
@@ -274,30 +274,6 @@ def test_cyc_gdim_cache_roundtrip(tmp_path, capsys):
     entries[0].write_text(json.dumps(record))
     code, out3, _ = run(capsys, argv)
     assert code == 0 and out3 == out1
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["cyc", "gdim", "--partition", "2,0", "--seq", "1"],
-        ["cyc", "compare", "--partition", "2,1,0", "--seq", "1,2", "--seq2", "1,2"],
-        ["cyc", "gt-ortho", "--partition", "1,0"],
-    ],
-)
-def test_dot_cap_shares_the_cache_entry(argv, tmp_path, capsys, monkeypatch):
-    """No computation reads the dot cap, so a run with --dot-cap hits the entry that the
-    run without it wrote."""
-    argv = argv + ["--cache-dir", str(tmp_path)]
-    code, out1, _ = run(capsys, argv)
-    assert code == 0 and len(list(tmp_path.iterdir())) == 1
-
-    def miss(*args, **kwargs):
-        raise AssertionError("recomputed a cached result")
-
-    monkeypatch.setattr("klrlab.cli.gdim_hom", miss)
-    monkeypatch.setattr("klrlab.cli.gt_orthogonality_check", miss)
-    code, out2, _ = run(capsys, argv + ["--dot-cap", "1"])
-    assert code == 0 and out2 == out1 and len(list(tmp_path.iterdir())) == 1
 
 
 def test_cyc_sl2_vanish(capsys):

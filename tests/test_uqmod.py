@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from klrlab import uqmod
 from klrlab.combi import CartanA, Partition, weight_of_partition, weyl_dim
 from klrlab.qint import LaurentFrac, LaurentPoly, quantum_integer
 from klrlab.uqmod import (
@@ -91,20 +92,16 @@ def test_exhaustion_depth_examples():
 def test_sl2_string_dims():
     mod = build_irreducible((2,))
     assert mod.dim() == 3
-    assert mod.weight_multiset() == {(2,): 1, (0,): 1, (-2,): 1}
+    assert {wt: len(cols) for wt, cols in mod.weight_spaces.items()} == {
+        (2,): 1, (0,): 1, (-2,): 1
+    }
     assert mod.basis == ((), (1,), (1, 1))
-
-
-def test_sl2_truncated_depth():
-    mod = build_irreducible((2,), depth=1)
-    assert mod.dim() == 2
-    assert mod.weight_multiset() == {(2,): 1, (0,): 1}
 
 
 def test_sl3_adjoint_dim():
     mod = build_irreducible((1, 1))
     assert mod.dim() == 8
-    assert mod.weight_multiset()[(0, 0)] == 2
+    assert len(mod.weight_spaces[(0, 0)]) == 2
 
 
 def test_dominance_required():
@@ -390,6 +387,11 @@ def test_branching_character_examples():
     assert rep == {"ok": True, "lhs": 3, "rhs": [2, 1]}
     rep = branching_character_check((1, 0))
     assert rep["ok"] and rep["lhs"] == 2 and rep["rhs"] == [1, 1]
+    # a nonzero last part, and a rank-3 restriction
+    rep = branching_character_check((2, 2, 1))
+    assert rep == {"ok": True, "lhs": 3, "rhs": [1, 2]}
+    rep = branching_character_check((3, 2, 1, 0))
+    assert rep == {"ok": True, "lhs": 64, "rhs": [8, 15, 6, 15, 3, 6, 3, 8]}
 
 
 def test_branching_character_family():
@@ -399,6 +401,35 @@ def test_branching_character_family():
         rep = branching_character_check(lam)
         assert rep["ok"], lam
         assert rep["lhs"] == sum(rep["rhs"])
+
+
+def test_branching_check_builds_one_module(monkeypatch):
+    calls = []
+
+    def counted(hw):
+        calls.append(hw)
+        return build_irreducible(hw)
+
+    monkeypatch.setattr(uqmod, "build_irreducible", counted)
+    for lam in [(1, 0), (2, 1, 0), (2, 2, 1), (3, 2, 1, 0)]:
+        calls.clear()
+        assert branching_character_check(lam)["ok"], lam
+        assert calls == [weight_of_partition(Partition(lam)).entries], lam
+
+
+def test_branching_check_reads_the_e_action(monkeypatch):
+    """With E_1 F_1 v = 0 at (2,1,0), F_1 v is one more sl_2 highest-weight vector, and
+    its weight is no summand's; the weights alone do not change."""
+
+    def broken(hw):
+        mod = build_irreducible(hw)
+        if mod.hw == (1, 1):
+            mod.e_mats[1][0][mod.basis.index((1,))] = LaurentFrac.zero()
+        return mod
+
+    monkeypatch.setattr(uqmod, "build_irreducible", broken)
+    rep = branching_character_check((2, 1, 0))
+    assert rep == {"ok": False, "lhs": 8, "rhs": [2, 3, 1, 2]}
 
 
 def test_gram_json_roundtrip():
