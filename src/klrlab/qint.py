@@ -1,6 +1,8 @@
 """Laurent polynomials in q with integer coefficients, plus exact fraction and elimination helpers."""
 
+from itertools import accumulate, count
 from math import gcd as _int_gcd
+from operator import sub as _sub
 
 
 class LaurentPoly:
@@ -173,31 +175,39 @@ def quantum_integer(n):
     return LaurentPoly({m - 1 - 2 * k: sign for k in range(m)})
 
 
-def times_quantum_integer(p, n):
-    """The product quantum_integer(n) * p, in O(len p + |n|) steps.
+def _window_sums(c, m):
+    """The coefficients of c times 1 + x + ... + x^(m-1): running sums of m entries of c."""
+    if m == 1:
+        return c
+    return list(accumulate(map(_sub, c + [0] * (m - 1), [0] * m + c)))
 
-    [n] is a run of |n| monomials two degrees apart, so on the dense coefficient list c
-    of p each coefficient of the product is a window sum over one exponent-parity class,
-    kept as a running sum: out[j] = c[j] + out[j-2] - c[j-2|n|]."""
-    if n == 0 or not p._t:
-        return LaurentPoly()
-    if n == 1:
-        return p
-    if n == -1:
-        return -p
-    m = abs(n)
-    lo, c = _to_dense(p)
-    pad = 2 * m
-    ext = [0] * pad + c + [0] * (pad - 2)
-    out = [0] * len(ext)
-    for j in range(pad, len(ext)):
-        out[j] = ext[j] + out[j - 2] - ext[j - pad]
-    # out[pad] is the coefficient of q^(lo - m + 1)
-    base = lo - m + 1 - pad
-    sign = 1 if n > 0 else -1
-    prod = LaurentPoly()
-    prod._t = {base + j: sign * v for j, v in enumerate(out) if v}
-    return prod
+
+def sum_times_quantum_integers(terms, shift):
+    """q^shift times the sum of [r][n] * p over the terms (p, r, n), r >= 1, in one pass.
+
+    [m] is a run of |m| monomials two degrees apart, so it multiplies each
+    exponent-parity class of p on its own: on the dense coefficients of one class it is
+    a running sum of |m| consecutive entries.  Each p is laid out dense once, both
+    factors act on each nonzero class, and every class adds into one dict, so the sum
+    is built without an intermediate polynomial and exactly for any exponents."""
+    acc = {}
+    get = acc.get
+    for p, r, n in terms:
+        if not p:
+            continue
+        lo, dense = _to_dense(-p if n < 0 else p)
+        n = abs(n)
+        for par in (0, 1):
+            half = dense[par::2]
+            if any(half):
+                # half[k] sits at q^(lo + par + 2k); [r][n] reaches down r + n - 2 degrees
+                start = lo + par + shift - r - n + 2
+                for e, c in zip(count(start, 2), _window_sums(_window_sums(half, r), n)):
+                    if c:
+                        acc[e] = get(e, 0) + c
+    out = LaurentPoly()
+    out._t = {e: c for e, c in acc.items() if c}
+    return out
 
 
 # ---------------------------------------------------------------------------

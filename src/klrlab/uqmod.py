@@ -12,7 +12,7 @@ from .qint import (
     pivot_columns,
     quantum_integer,
     solve_linear,
-    times_quantum_integer,
+    sum_times_quantum_integers,
 )
 
 __all__ = [
@@ -105,37 +105,45 @@ def _gram_entry(hw, u, w):
         return LaurentPoly.one()
     head, i = u[:-1], u[-1]
     runs, end = _runs(hw, w, i)
-    total = LaurentPoly.zero()
-    for start, r, a in runs:
-        if a != r - 1:
-            sub = _gram_entry(hw, head, w[:start] + w[start + 1 :])
-            total = total + times_quantum_integer(times_quantum_integer(sub, r), a - r + 1)
+    terms = [
+        (_gram_entry(hw, head, w[:start] + w[start + 1 :]), r, a - r + 1)
+        for start, r, a in runs
+        if a != r - 1
+    ]
     # end is the i-th weight entry of F_w v, the same as of F_u v; F_head v has one
     # letter i fewer, so its entry is end + 2, and the shift is that entry less 1
-    return total.shift(end + 1)
+    return sum_times_quantum_integers(terms, end + 1)
 
 
 def weight_words(beta):
-    """All monomial words with the given simple root content, lexicographically sorted."""
-    beta = tuple(int(b) for b in beta)
-    letters = []
-    for i, b in enumerate(beta, 1):
-        if b < 0:
-            raise ValueError("negative root multiplicity")
-        letters.extend([i] * b)
-    out = set()
+    """All monomial words with the given simple root content, in lexicographic order.
 
-    def grow(prefix, remaining):
-        if not remaining:
-            out.add(tuple(prefix))
+    Each place tries the letters in increasing order among those not used up, so the
+    words come out sorted; the place of a last letter is forced."""
+    counts = [int(b) for b in beta]
+    if any(b < 0 for b in counts):
+        raise ValueError("negative root multiplicity")
+    out = []
+
+    def grow(prefix, left):
+        if left < 2:
+            out.append(prefix + (counts.index(1) + 1,) if left else prefix)
             return
-        for x in sorted(set(remaining)):
-            rest = list(remaining)
-            rest.remove(x)
-            grow(prefix + [x], rest)
+        for i, b in enumerate(counts):
+            if b:
+                counts[i] = b - 1
+                grow(prefix + (i + 1,), left - 1)
+                counts[i] = b
 
-    grow([], letters)
-    return sorted(out)
+    grow((), sum(counts))
+    return out
+
+
+def _gram_rows(hw, words):
+    """The form on the monomial words, as rows: one `gram_entry` call per unordered pair,
+    mirrored below the diagonal."""
+    upper = [[gram_entry(hw, u, w) for w in words[a:]] for a, u in enumerate(words)]
+    return [[upper[b][a - b] for b in range(a)] + upper[a] for a in range(len(words))]
 
 
 class ShapovalovGram:
@@ -191,8 +199,7 @@ def shapovalov_gram(hw, beta):
     """Pairing matrix of all F-monomials with root content beta, rows and columns alike."""
     hw = tuple(int(x) for x in hw)
     labels = weight_words(beta)
-    entries = [[gram_entry(hw, u, w) for w in labels] for u in labels]
-    return ShapovalovGram(hw, tuple(beta), labels, entries)
+    return ShapovalovGram(hw, tuple(beta), labels, _gram_rows(hw, labels))
 
 
 def exhaustion_depth(hw):
@@ -269,7 +276,7 @@ def build_irreducible(hw):
         layer = []
         for wt in sorted(cands):
             words = sorted(cands[wt])
-            gram = [[gram_entry(hw, a, b) for b in words] for a in words]
+            gram = _gram_rows(hw, words)
             pivots = pivot_columns(gram)
             if not pivots:
                 continue

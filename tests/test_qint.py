@@ -18,7 +18,7 @@ from klrlab.qint import (
     quantum_integer,
     row_echelon_bareiss,
     solve_linear,
-    times_quantum_integer,
+    sum_times_quantum_integers,
 )
 
 
@@ -65,24 +65,58 @@ def test_quantum_integer_multiplication_identity():
         assert two * quantum_integer(n) == quantum_integer(n + 1) + quantum_integer(n - 1)
 
 
-def test_times_quantum_integer_matches_the_product():
+def _by_products(terms, shift):
+    total = LaurentPoly.zero()
+    for p, r, n in terms:
+        total = total + quantum_integer(r) * quantum_integer(n) * p
+    return total.shift(shift)
+
+
+def test_sum_times_quantum_integers_matches_the_products():
     # the norm <F^14 v, F^14 v> = q^210 [14]! [29][28]...[16] of the highest weight 29
     norm = LaurentPoly.one()
     for j in range(1, 15):
         norm = norm * quantum_integer(j) * quantum_integer(30 - j)
     cases = [
-        LaurentPoly.zero(),
         LaurentPoly.one(),
         LaurentPoly.q_power(-5, 7),
-        LaurentPoly({-9: 2, -8: -1, 0: 5, 7: -3, 20: 1}),
+        LaurentPoly({-9: 2, -8: -1, 0: 5, 7: -3, 20: 1}),  # both exponent parities
         LaurentPoly({-12: 1, -11: 4, -3: -6}),
         norm.shift(210),
     ]
     for p in cases:
-        for n in range(-30, 31):
-            got = times_quantum_integer(p, n)
-            assert got == quantum_integer(n) * p, (p, n)
-            assert 0 not in got._t.values()
+        for r in (1, 2, 3, 7):
+            for n in (-9, -2, -1, 1, 2, 5, 30):
+                for shift in (-4, 0, 3):
+                    got = sum_times_quantum_integers([(p, r, n)], shift)
+                    assert got == _by_products([(p, r, n)], shift), (p, r, n, shift)
+                    assert 0 not in got._t.values()
+    rng = random.Random(23)
+    for _ in range(300):
+        terms = [
+            (rand_poly(rng, span=9, nterms=7), rng.randint(1, 6), rng.choice([-1, 1]) * rng.randint(1, 7))
+            for _ in range(rng.randint(1, 5))
+        ]
+        shift = rng.randint(-8, 8)
+        got = sum_times_quantum_integers(terms, shift)
+        assert got == _by_products(terms, shift), (terms, shift)
+        assert 0 not in got._t.values()
+
+
+def test_sum_times_quantum_integers_edge_cases():
+    p = LaurentPoly({-3: 2, 0: -1, 1: 4})  # both exponent parities
+    assert sum_times_quantum_integers([], 5).is_zero()
+    assert sum_times_quantum_integers([(LaurentPoly.zero(), 3, 4)], 2).is_zero()
+    assert sum_times_quantum_integers([(p, 1, 1)], 0) == p
+    assert sum_times_quantum_integers([(p, 1, -1)], 2) == -p.shift(2)
+    assert sum_times_quantum_integers([(p, 1, 0)], 0).is_zero()
+    # [2][3] p + [3][2] (-p) and [r][-n] p + [r][n] p cancel to zero
+    assert sum_times_quantum_integers([(p, 2, 3), (-p, 3, 2)], 1).is_zero()
+    assert sum_times_quantum_integers([(p, 4, -5), (p, 4, 5)], 0).is_zero()
+    # [2][2] = [3] + [1], so [2][2] p - [3] p leaves p and no zero coefficient behind
+    got = sum_times_quantum_integers([(p, 2, 2), (-p, 1, 3)], 0)
+    assert got == p
+    assert 0 not in got._t.values()
 
 
 def test_laurent_operators():

@@ -252,6 +252,64 @@ def test_gram_entry_rejects_letters_outside_the_rank():
             gram_entry((2, 1), u, w)
 
 
+def test_weight_words_are_the_sorted_distinct_permutations():
+    count = 0
+    for rank in range(1, 5):
+        for beta in itertools.product(range(7), repeat=rank):
+            if sum(beta) > 6:
+                continue
+            letters = [i for i, b in enumerate(beta, 1) for _ in range(b)]
+            assert weight_words(beta) == sorted(set(itertools.permutations(letters))), beta
+            count += 1
+    assert count == 7 + 28 + 84 + 210
+    for beta in [(-1,), (1, -2), (0, 0, -1)]:
+        with pytest.raises(ValueError):
+            weight_words(beta)
+
+
+def test_shapovalov_gram_entries_are_the_form_in_both_triangles():
+    for hw, top in [((2, 1), 3), ((1, 0, 1), 2), ((2, 1, 1), 2), ((3, 1, 0, 0), 1)]:
+        for beta in itertools.product(range(top + 1), repeat=len(hw)):
+            g = shapovalov_gram(hw, beta)
+            assert g.labels == tuple(weight_words(beta))
+            for (a, u), (b, w) in itertools.product(enumerate(g.labels), repeat=2):
+                assert g.entries[a][b] == gram_entry(hw, u, w), (hw, u, w)
+
+
+def test_build_grams_are_the_form_on_the_basis_words():
+    for hw in [(2, 1), (1, 0, 1), (2, 1, 1), (3, 1, 0, 0)]:
+        mod = build_irreducible(hw)
+        assert mod.grams.keys() == mod.weight_spaces.keys()
+        for wt, cols in mod.weight_spaces.items():
+            words = [mod.basis[c] for c in cols]
+            want = [[gram_entry(hw, u, w) for w in words] for u in words]
+            assert mod.grams[wt] == want, (hw, wt)
+
+
+def test_build_pairs_each_unordered_candidate_pair_once(monkeypatch):
+    hw = (2, 1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gram_entry(*args)
+
+    monkeypatch.setattr(uqmod, "gram_entry", counted)
+    mod = build_irreducible(hw)
+    # the candidates of a weight space are the words u + (i,), u a basis word of the
+    # layer before; the last layer has no successor
+    depth = exhaustion_depth(hw)
+    cands = {}
+    for u in mod.basis:
+        if len(u) < depth:
+            for i in range(1, len(hw) + 1):
+                cands.setdefault(monomial_weight(hw, u + (i,)), set()).add(u + (i,))
+    want = sum(len(c) * (len(c) + 1) // 2 for c in cands.values())
+    assert want == 42  # the full squares would take 56
+    assert len(calls) == want
+    assert len(set(calls)) == want
+
+
 # sha256 of the basis and the E/F records of build_irreducible, recorded before the
 # polynomial fast path of LaurentFrac and the one-scan weights of gram_entry
 EF_DIGESTS = {
