@@ -1,6 +1,7 @@
 """Batch verification: the eleven desk-scale checks behind `suite acceptance`."""
 
 import itertools
+import math
 import random
 import time
 
@@ -100,11 +101,17 @@ def check_gt_pattern_counts():
 
 
 def check_module_relations():
-    jobs = [((m,), Partition((m, 0))) for m in range(30)]
-    for a in range(29):
-        for b in range(29):
-            if (a + 1) * (b + 1) * (a + b + 2) // 2 <= 30:
-                jobs.append(((a, b), Partition((a + b, b, 0))))
+    """Every V(hw) of rank 1-4 and Weyl dimension <= 30 satisfies the relations and has
+    Weyl's dimension."""
+    jobs = []
+    for rank in range(1, 5):
+        # the dimension grows with each entry, and V(a w_i) is at least as large as
+        # V(a w_1), the a-th symmetric power of dimension C(a + rank, rank)
+        top = max(a for a in range(30) if math.comb(a + rank, rank) <= 30)
+        for hw in itertools.product(range(top + 1), repeat=rank):
+            lam = Partition([sum(hw[j:]) for j in range(rank)] + [0])
+            if weyl_dim(lam) <= 30:
+                jobs.append((hw, lam))
     for hw, lam in jobs:
         module = build_irreducible(hw)
         if not verify_relations(module):

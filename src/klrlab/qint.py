@@ -136,6 +136,10 @@ class LaurentPoly:
         """Evaluate at q = 1."""
         return sum(self._t.values())
 
+    def l1_norm(self):
+        """The sum of the absolute values of the coefficients."""
+        return sum(map(abs, self._t.values()))
+
     def min_exp(self):
         return min(self._t) if self._t else 0
 
@@ -508,6 +512,14 @@ def _evaluate(rows, spare_bits=0):
         terms.append((min([e for t in ts for e in t], default=0), ts))
     k = bound.bit_length() + spare_bits
     return [[sum([c << k * (e - lo) for e, c in t.items()]) for t in ts] for lo, ts in terms], k
+
+
+def at_power_of_two(p, k, shift=0):
+    """The integer value of q^shift * p at q = 2^k; q^shift * p must be a polynomial.
+
+    Two Laurent polynomials of that form are equal iff their values are, once 2^k
+    exceeds the l1 norm of their difference (Cauchy's bound, as in `_evaluate`)."""
+    return sum([c << k * (e + shift) for e, c in p._t.items()])
 
 
 def _from_balanced_digits(v, k):

@@ -1,13 +1,13 @@
 """Highest weight modules for the quantum group of type A, with exact contravariant forms."""
 
 import functools
-import math
 from collections import Counter
 
 from .combi import CartanA, Partition, interlacing_set, weight_of_partition, weyl_dim
 from .qint import (
     LaurentFrac,
     LaurentPoly,
+    at_power_of_two,
     matrix_rank,
     pivot_columns,
     quantum_integer,
@@ -320,9 +320,32 @@ def build_irreducible(hw):
     return HighestWeightModule(rank, hw, list(index), weights, e_mats, f_mats, grams_by_weight)
 
 
-def _sparse(mat):
-    """The nonzero entries of a dense matrix as rows {row: {col: value}}."""
-    return {r: {c: v for c, v in enumerate(row) if v} for r, row in enumerate(mat) if any(row)}
+def _cleared(mat):
+    """A dense matrix of LaurentFracs without denominators: (D, rows), with D the lcm of
+    its entries' denominators and rows {row: {col: LaurentPoly}} its nonzero entries
+    times D.
+
+    Each lcm step multiplies D by what a denominator d adds to it, d / gcd(D, d), the
+    denominator of LaurentFrac(D, d); once D is the lcm, LaurentFrac(D, d) is D / d."""
+    # `build_irreducible` fills a dense matrix with one zero object, so an identity test
+    # skips most entries before the truth test
+    zero = next((v for row in mat for v in row if not v), None)
+    rows = {}
+    for r, row in enumerate(mat):
+        nonzero = {c: v for c, v in enumerate(row) if v is not zero and v}
+        if nonzero:
+            rows[r] = nonzero
+    dens = {v.den for row in rows.values() for v in row.values()}
+    lcm = LaurentPoly.one()
+    for d in dens:
+        if d != 1:
+            lcm = lcm * LaurentFrac(lcm, d).den
+    if lcm == 1:
+        return lcm, {r: {c: v.num for c, v in row.items()} for r, row in rows.items()}
+    cofactor = {d: LaurentFrac(lcm, d).num for d in dens}
+    return lcm, {
+        r: {c: v.num * cofactor[v.den] for c, v in row.items()} for r, row in rows.items()
+    }
 
 
 def _product(a, b):
@@ -346,6 +369,45 @@ def _entries(*mats):
     return {key: v for key, v in out.items() if v}
 
 
+def _certificate(weights, e, f):
+    """The shifts s_X and the exponent k at which `verify_relations` evaluates the
+    cleared matrices e[i], f[i] (each a `_cleared` pair), as (shifts of E, shifts of F, k).
+
+    q^s_X times a cleared X is a polynomial, and s_E_i + s_F_i is at least |wt_i| - 1 on
+    every weight, so q^(s_E_i + s_F_i) [wt_i] is one too.  With rho_X the largest l1 sum
+    of a row of the cleared X, an entry of a product XY has l1 norm at most rho_X rho_Y,
+    and of XYZ at most rho_X rho_Y rho_Z.  So the difference of the two sides of each
+    relation, cleared and shifted, has l1 norm at most
+      2 rho_E rho_F + |D_E|_1 |D_F|_1 max|wt_i|  for [E_i, F_j] = delta_ij [h_i],
+      2 rho_i rho_j                              for X_i X_j = X_j X_i,
+      4 rho_i^2 rho_j                            for Serre, times q: [2] = q^-1 (q^2 + 1),
+    and 2^k exceeds all of them."""
+    def rho(rows):
+        return max((sum(p.l1_norm() for p in row.values()) for row in rows.values()), default=0)
+
+    def low(rows):
+        return -min((p.min_exp() for row in rows.values() for p in row.values()), default=0)
+
+    span = range(1, len(e) + 1)
+    rho_e = {i: rho(e[i][1]) for i in span}
+    rho_f = {i: rho(f[i][1]) for i in span}
+    top = {i: max(abs(wt[i - 1]) for wt in weights) for i in span}
+    shift_f = {i: max(0, low(f[i][1])) for i in span}
+    shift_e = {i: max(0, low(e[i][1]), top[i] - 1 - shift_f[i]) for i in span}
+    bound = 0
+    for i in span:
+        for j in span:
+            b = 2 * rho_e[i] * rho_f[j]
+            if i == j:
+                b += e[i][0].l1_norm() * f[j][0].l1_norm() * top[i]
+            elif abs(i - j) >= 2:
+                b = max(b, 2 * rho_e[i] * rho_e[j], 2 * rho_f[i] * rho_f[j])
+            else:
+                b = max(b, 4 * rho_e[i] ** 2 * rho_e[j], 4 * rho_f[i] ** 2 * rho_f[j])
+            bound = max(bound, b)
+    return shift_e, shift_f, bound.bit_length()
+
+
 def verify_relations(module):
     """Check the defining relations of U_q(sl_{n+1}) on the module's E and F matrices.
 
@@ -357,39 +419,66 @@ def verify_relations(module):
     [wt_i]; X_i X_j = X_j X_i for |i - j| >= 2; and the quantum Serre relation
     X_i^2 X_j - [2] X_i X_j X_i + X_j X_i^2 = 0 for |i - j| = 1, for X = E and X = F.
     Returns False on the first relation that fails.
+
+    No relation is checked in Z[q, q^-1].  Each matrix X is read once and multiplied by
+    q^s_X D_X, D_X its common denominator, and every relation by the product of the
+    q^s_X D_X of its letters, which is nonzero.  Every entry is then a polynomial in
+    Z[q], evaluated once at q = 2^k (`_certificate`), and each relation is an identity
+    of integer matrices.  2^k exceeds the l1 norm of the difference of its two sides,
+    and a nonzero integer polynomial has no root of modulus at least its l1 norm, so
+    the integer identity holds iff the polynomial one does.
     """
     rank = module.rank
     weights = module.weights
     cartan = CartanA(rank)
-    e = {i: _sparse(module.e_mats[i]) for i in range(1, rank + 1)}
-    f = {i: _sparse(module.f_mats[i]) for i in range(1, rank + 1)}
-    for j in range(1, rank + 1):
-        alpha = [cartan.entry(i, j) for i in range(1, rank + 1)]
-        for mat, sign in ((e[j], 1), (f[j], -1)):
-            for r, row in mat.items():
+    span = range(1, rank + 1)
+    e = {i: _cleared(module.e_mats[i]) for i in span}
+    f = {i: _cleared(module.f_mats[i]) for i in span}
+    for j in span:
+        alpha = [cartan.entry(i, j) for i in span]
+        for (_, rows), sign in ((e[j], 1), (f[j], -1)):
+            for r, row in rows.items():
                 for c in row:
                     if any(a - b != sign * s for a, b, s in zip(weights[r], weights[c], alpha)):
                         return False
-    for i in range(1, rank + 1):
-        h = {r: {r: LaurentFrac(quantum_integer(wt[i - 1]))} for r, wt in enumerate(weights)}
-        for j in range(1, rank + 1):
-            ef, fe = _product(e[i], f[j]), _product(f[j], e[i])
+    shift_e, shift_f, k = _certificate(weights, e, f)
+
+    def value(rows, shift):
+        return {
+            r: {c: at_power_of_two(p, k, shift) for c, p in row.items()} for r, row in rows.items()
+        }
+
+    ev = {i: value(e[i][1], shift_e[i]) for i in span}
+    fv = {i: value(f[i][1], shift_f[i]) for i in span}
+    for i in span:
+        scale = at_power_of_two(e[i][0], k) * at_power_of_two(f[i][0], k)
+        shift = shift_e[i] + shift_f[i]
+        bracket = {
+            n: scale * at_power_of_two(quantum_integer(n), k, shift)
+            for n in {wt[i - 1] for wt in weights}
+        }
+        h = {r: {r: bracket[wt[i - 1]]} for r, wt in enumerate(weights)}
+        for j in span:
+            ef, fe = _product(ev[i], fv[j]), _product(fv[j], ev[i])
             if _entries(ef) != _entries(fe, h if i == j else {}):
                 return False
-    two = quantum_integer(2)
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
+    q = 1 << k
+    for i in span:
+        for j in span:
             if i == j:
                 continue
-            for x, y in ((e[i], e[j]), (f[i], f[j])):
+            for x, y in ((ev[i], ev[j]), (fv[i], fv[j])):
                 xy = _product(x, y)
                 if abs(i - j) >= 2:
                     if _entries(xy) != _entries(_product(y, x)):
                         return False
                     continue
-                xyx = _product(xy, x)
-                twice = {r: {c: v * two for c, v in row.items()} for r, row in xyx.items()}
-                if _entries(_product(x, xy), _product(y, _product(x, x))) != _entries(twice):
+                # the Serre relation times q: q X_i^2 X_j + q X_j X_i^2 = (q^2 + 1) X_i X_j X_i
+                outer = _entries(_product(x, xy), _product(y, _product(x, x)))
+                middle = _entries(_product(xy, x))
+                if {key: v * q for key, v in outer.items()} != {
+                    key: v * (q * q + 1) for key, v in middle.items()
+                }:
                     return False
     return True
 
@@ -402,7 +491,7 @@ def branching_character_check(lam):
     rule gives one summand per interlacing mu, whose highest weight in V(lam)'s
     coordinates is (mu_1 - mu_2, ..., mu_{n-1} - mu_n, mu_n - (|lam| - |mu|)).  So the
     check counts those kernels, each as the weight space's dimension less the rank of the
-    E rows restricted to it, with each row's denominators cleared.
+    E rows restricted to it, each E_i multiplied by its common denominator.
 
     Returns a report dict with the total dimension on the left and the list of summand
     dimensions on the right, in enumeration order.
@@ -420,15 +509,10 @@ def branching_character_check(lam):
         m = mu.parts
         top = tuple(m[i] - m[i + 1] for i in range(n - 1)) + (m[-1] - lam.size() + mu.size(),)
         expected[top] += 1
+    e_rows = [row for i in range(1, n) for row in _cleared(module.e_mats[i])[1].values()]
     found = {}
     for wt, cols in module.weight_spaces.items():
-        rows = []
-        for i in range(1, n):
-            for row in module.e_mats[i]:
-                entries = [row[c] for c in cols]
-                if any(entries):
-                    scale = math.prod([e.den for e in entries], start=LaurentPoly.one())
-                    rows.append([(e * scale).as_poly() for e in entries])
+        rows = [[row.get(c, 0) for c in cols] for row in e_rows if not row.keys().isdisjoint(cols)]
         kernel = len(cols) - matrix_rank(rows)
         if kernel:
             found[wt] = kernel

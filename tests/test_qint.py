@@ -13,6 +13,7 @@ from klrlab.qint import (
     _dense_gcd,
     _evaluate,
     _from_balanced_digits,
+    at_power_of_two,
     matrix_rank,
     pivot_columns,
     quantum_integer,
@@ -474,3 +475,17 @@ def test_balanced_digits_round_trip():
         lo = min((_as_poly(e).min_exp() for e in row if e), default=0)
         want = [_as_poly(e).shift(-lo) for e in row]
         assert [_from_balanced_digits(v, k) for v in values] == want
+
+
+def test_at_power_of_two_and_l1_norm():
+    p = LaurentPoly({-1: 1, 2: -2, 5: 3})
+    assert p.l1_norm() == 6 and LaurentPoly().l1_norm() == 0
+    assert at_power_of_two(p, 3, 1) == 1 - 2 * 8**3 + 3 * 8**6
+    assert at_power_of_two(LaurentPoly(), 5) == 0
+    # with 2^k above the l1 norm, the value determines the polynomial
+    rng = random.Random(24)
+    for _ in range(200):
+        p = rand_poly(rng, cmax=40)
+        k = p.l1_norm().bit_length()
+        shift = -p.min_exp()
+        assert _from_balanced_digits(at_power_of_two(p, k + 1, shift), k + 1) == p.shift(shift)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import symbolic_relations
 from klrlab import uqmod
 from klrlab.combi import CartanA, Partition, weight_of_partition, weyl_dim
 from klrlab.qint import LaurentFrac, LaurentPoly, quantum_integer
@@ -394,6 +395,162 @@ def test_verify_relations_detects_mutation():
                     assert not verify_relations(mod), (hw, i, r, c)
                     mat[r][c] = keep
         assert verify_relations(mod), hw
+
+
+# the 69 weights of the `module` workload
+MODULE_FAMILY = [
+    tuple(json.loads(key)) for key in json.loads(REFERENCE.read_text(encoding="utf-8"))["module"]
+]
+
+
+def _mutations():
+    """The entry mutations: zero it, add 1, q^40, 3q^-37, 2^70, 1/[3] or [2]/[5], or
+    scale it by q^-1, q or q^2."""
+    def plus(x):
+        return lambda v: v + x
+
+    def times(k):
+        return lambda v: v * LaurentPoly.q_power(k)
+
+    return [
+        lambda v: LaurentFrac.zero(),
+        plus(LaurentFrac.one()),
+        plus(LaurentFrac(LaurentPoly.q_power(40))),
+        plus(LaurentFrac(LaurentPoly.q_power(-37, 3))),
+        plus(LaurentFrac(2**70)),
+        plus(LaurentFrac(LaurentPoly.one(), quantum_integer(3))),
+        plus(LaurentFrac(quantum_integer(2), quantum_integer(5))),
+        times(-1),
+        times(1),
+        times(2),
+    ]
+
+
+def test_verify_relations_holds_on_the_module_family():
+    assert len(MODULE_FAMILY) == 69
+    for hw in MODULE_FAMILY:
+        assert verify_relations(build_irreducible(hw)), hw
+
+
+def test_verify_relations_agrees_with_the_symbolic_check_on_mutants():
+    rng = random.Random("verify_relations mutants")
+    modules = {hw: build_irreducible(hw) for hw in MODULE_FAMILY}
+    mutations = _mutations()
+    verdicts = []
+    for _ in range(600):
+        mod = modules[rng.choice(MODULE_FAMILY)]
+        mats = rng.choice((mod.e_mats, mod.f_mats))
+        mat = mats[rng.randint(1, mod.rank)]
+        nonzero = [(r, c) for r, row in enumerate(mat) for c, v in enumerate(row) if v]
+        if nonzero and rng.random() < 0.5:
+            r, c = rng.choice(nonzero)
+        else:
+            r, c = rng.randrange(mod.dim()), rng.randrange(mod.dim())
+        keep = mat[r][c]
+        mat[r][c] = rng.choice(mutations)(keep)
+        want = symbolic_relations.verify_relations(mod)
+        assert verify_relations(mod) is want, (mod.hw, r, c, mat[r][c])
+        verdicts.append(want)
+        mat[r][c] = keep
+    # both verdicts are well represented
+    assert verdicts.count(False) >= 200 and verdicts.count(True) >= 100
+
+
+def _cleared_module(mod):
+    e = {i: uqmod._cleared(mod.e_mats[i]) for i in range(1, mod.rank + 1)}
+    f = {i: uqmod._cleared(mod.f_mats[i]) for i in range(1, mod.rank + 1)}
+    return e, f
+
+
+def test_verify_relations_shift_floors_at_zero():
+    # E_i -> q^m E_i and F_i -> q^-m F_i keeps every relation, and with m large every
+    # entry of E has a positive exponent, so E needs no shift
+    for hw in [(1,), (3,), (2, 1), (1, 0, 1), (1, 1, 0, 0)]:
+        mod = build_irreducible(hw)
+        for i in range(1, mod.rank + 1):
+            for mats, k in ((mod.e_mats, 12), (mod.f_mats, -12)):
+                mats[i] = [[v * LaurentPoly.q_power(k) for v in row] for row in mats[i]]
+        e, f = _cleared_module(mod)
+        rows = [row for _, cleared in e.values() for row in cleared.values()]
+        assert min(p.min_exp() for row in rows for p in row.values()) > 0, hw
+        shift_e, _, _ = uqmod._certificate(mod.weights, e, f)
+        assert set(shift_e.values()) == {0}, hw
+        assert verify_relations(mod) and symbolic_relations.verify_relations(mod), hw
+        # without the compensating F the commutator fails
+        mod.f_mats[1] = build_irreducible(hw).f_mats[1]
+        assert not verify_relations(mod) and not symbolic_relations.verify_relations(mod), hw
+
+
+def test_verify_relations_on_zero_matrices_and_rank_one():
+    for hw in [(0,), (1,)]:
+        mod = build_irreducible(hw)
+        assert verify_relations(mod) and symbolic_relations.verify_relations(mod), hw
+    zero = build_irreducible((0,))
+    assert zero.dim() == 1 and not zero.e_mats[1][0][0] and not zero.f_mats[1][0][0]
+    for hw in [(1,), (1, 1), (2, 0, 1)]:
+        for side in ("e_mats", "f_mats"):
+            mod = build_irreducible(hw)
+            mats = getattr(mod, side)
+            mats[1] = [[LaurentFrac.zero()] * mod.dim() for _ in range(mod.dim())]
+            assert not verify_relations(mod) and not symbolic_relations.verify_relations(mod)
+
+
+def _relation_sides(mod, e, f, shift_e, shift_f):
+    """Both sides of every relation of `verify_relations`, cleared and shifted, as sparse
+    LaurentPoly matrices."""
+    span = range(1, mod.rank + 1)
+    prod, ent = symbolic_relations.product, symbolic_relations.entries
+
+    def shifted(rows, s):
+        return {r: {c: p.shift(s) for c, p in row.items()} for r, row in rows.items()}
+
+    ev = {i: shifted(e[i][1], shift_e[i]) for i in span}
+    fv = {i: shifted(f[i][1], shift_f[i]) for i in span}
+    for i in span:
+        scale = e[i][0] * f[i][0]
+        h = {
+            r: {r: (scale * quantum_integer(wt[i - 1])).shift(shift_e[i] + shift_f[i])}
+            for r, wt in enumerate(mod.weights)
+        }
+        for j in span:
+            yield ent(prod(ev[i], fv[j])), ent(prod(fv[j], ev[i]), h if i == j else {})
+    q, q2 = LaurentPoly.q_power(1), LaurentPoly({2: 1, 0: 1})
+    for i in span:
+        for j in span:
+            for x, y in ((ev[i], ev[j]), (fv[i], fv[j])):
+                if abs(i - j) >= 2:
+                    yield ent(prod(x, y)), ent(prod(y, x))
+                elif abs(i - j) == 1:
+                    outer = ent(prod(x, prod(x, y)), prod(y, prod(x, x)))
+                    middle = ent(prod(prod(x, y), x))
+                    yield (
+                        {key: v * q for key, v in outer.items()},
+                        {key: v * q2 for key, v in middle.items()},
+                    )
+
+
+def test_certified_point_exceeds_every_relation_difference():
+    # the l1 norm of each side bounds that of the difference, for the module and for a
+    # mutant of it that breaks a relation
+    rng = random.Random("certified point")
+    mutations = _mutations()
+    broken = 0
+    for hw in MODULE_FAMILY:
+        mod = build_irreducible(hw)
+        for mutate in (False, True):
+            if mutate:
+                mat = mod.e_mats[rng.randint(1, mod.rank)]
+                r, c = rng.randrange(mod.dim()), rng.randrange(mod.dim())
+                mat[r][c] = rng.choice(mutations[1:7])(mat[r][c])
+            e, f = _cleared_module(mod)
+            shift_e, shift_f, k = uqmod._certificate(mod.weights, e, f)
+            for lhs, rhs in _relation_sides(mod, e, f, shift_e, shift_f):
+                for key in lhs.keys() | rhs.keys():
+                    a, b = lhs.get(key, LaurentPoly.zero()), rhs.get(key, LaurentPoly.zero())
+                    assert min(a.min_exp(), b.min_exp()) >= 0, (hw, key)
+                    assert a.l1_norm() + b.l1_norm() < 2**k, (hw, mutate, key)
+                    broken += a != b
+    assert broken
 
 
 def test_biadjointness_on_basis():
