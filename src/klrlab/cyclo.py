@@ -112,7 +112,13 @@ def _coset_middles(bottom):
 
 @functools.cache
 def _basis_keys(bottom, top, delta):
-    """Canonical-word keys (dot exponents, crossing word) spanning one graded piece."""
+    """The canonical-word keys (dot exponents, crossing word) spanning one graded piece,
+    in sorted order, each mapped to its column: its position in that order (a shared
+    dict: callers must not mutate it).
+
+    The echelon of a piece runs on columns, not keys: an int hashes and compares far
+    faster than a nested tuple, and because the columns number the keys in order, the
+    largest column of a row is its largest key."""
     m = len(bottom)
     keys = []
     for _, word, cd in _compatible_perms(bottom, top):
@@ -121,29 +127,31 @@ def _basis_keys(bottom, top, delta):
             continue
         for comp in _compositions(rem // 2, m):
             keys.append((comp, word))
-    return tuple(sorted(keys))
+    keys.sort()
+    return {key: col for col, key in enumerate(keys)}
 
 
 class _Echelon:
-    """Reduced row echelon form over the canonical-word keys, in exact arithmetic.
+    """Reduced row echelon form over the columns of one graded piece (`_basis_keys`), in
+    exact arithmetic.  A row is a dict {column: coefficient}.
 
     A row whose pivot coefficient is 1 is stored as it is and one whose pivot is -1 is
     negated; only another pivot coefficient divides the row through by a `Fraction`.
     Every integral entry, stored or reduced, is kept as an int (`_integral`), so on the
     ideal rows, whose coefficients are almost all +-1, the elimination runs on plain ints.
 
-    `rows` maps each pivot (the largest key of its row) to a row whose pivot entry is 1
+    `rows` maps each pivot (the largest column of its row) to a row whose pivot entry is 1
     and which is zero at every other pivot: `insert` back-substitutes each new row into
     the others.  Because of that invariant, clearing one pivot of a vector never changes
     its entry at another, so `reduce` clears the pivots a vector meets in any order, in
     one pass, and the result is the unique normal form of the vector modulo the row span.
 
-    `cols` is a column index for that back-substitution: it maps a key to a set of pivots
-    that holds every stored row with a nonzero entry at the key (other than its own
-    pivot).  The set may also hold stale pivots, whose row has since cancelled the key,
-    so each is checked with `row.get`; only a row's new keys are added.  Once a key is a
+    `cols` indexes that back-substitution: it maps a column to a set of pivots that holds
+    every stored row with a nonzero entry in the column (other than its own pivot).  The
+    set may also hold stale pivots, whose row has since cancelled the column, so each is
+    checked with `row.get`; only a row's new columns are added.  Once a column is a
     pivot, back-substitution clears it from every other row and no later row holds it
-    (later rows are reduced first), so its column is popped when its row is inserted.
+    (later rows are reduced first), so its entry is popped when its row is inserted.
     """
 
     __slots__ = ("rows", "cols")
@@ -273,14 +281,16 @@ def make_context(lam, degree_cap=16):
 def _ideal_row_gen(ctx, bottom, top, delta):
     """Yield rows that span the two-sided ideal piece e(bottom) I e(top) of one degree over Z.
 
-    Rows come as canonical-term dicts; products are written in the order the ops are
-    read, bottom to top.  Unit rows for words already carrying the full dot power on the
-    leftmost strand come first (each is x_1^gpow e(bottom) times a word, so it lies in
-    the ideal); then the rows psi_vb * x_1^gpow * x^compa * psi_va, where psi_vb runs
-    over the m - 1 non-identity minimal coset representatives of S_m / (S_1 x S_{m-1})
-    from bottom to a middle boundary `mid` (`_coset_middles`: the strands that do not
-    end at slot 1 of mid keep their order), psi_va over every permutation from mid to
-    top, and x^compa over every dot exponent that fills the degree.
+    Rows come as dicts {column: coefficient} over the piece's columns (`_basis_keys`):
+    each is a canonical-term dict with every key replaced by its column, in the same
+    order.  Products are written in the order the ops are read, bottom to top.  Unit rows
+    for words already carrying the full dot power on the leftmost strand come first
+    (each is x_1^gpow e(bottom) times a word, so it lies in the ideal); then the rows
+    psi_vb * x_1^gpow * x^compa * psi_va, where psi_vb runs over the m - 1 non-identity
+    minimal coset representatives of S_m / (S_1 x S_{m-1}) from bottom to a middle
+    boundary `mid` (`_coset_middles`: the strands that do not end at slot 1 of mid keep
+    their order), psi_va over every permutation from mid to top, and x^compa over every
+    dot exponent that fills the degree.
 
     Why these span.  The piece is the sum over mid of
     e(bottom) R e(mid) * x_1^gpow e(mid) * e(mid) R e(top).  The left factor is spanned
@@ -307,15 +317,17 @@ def _ideal_row_gen(ctx, bottom, top, delta):
     ((compa_1 + gpow, compa_2, ...), va) with coefficient 1, the dict that rewriting the
     whole word would reach after its dots.  Only vb's crossings are left to multiply in
     underneath, one `_mult_gen` each, exactly as `canonical_terms` would for those ops,
-    so the row is the same dict, in the same key order.
+    so the row is the same dict, in the same key order; only then are its keys read as
+    columns.
     """
     m = len(bottom)
     if m == 0 or ctx.rank == 0:
         return
     lam_bottom = ctx.weight[bottom[0] - 1]
-    for key in _basis_keys(bottom, top, delta):
+    cols = _basis_keys(bottom, top, delta)
+    for key, col in cols.items():
         if key[0][0] >= lam_bottom:
-            yield {key: 1}
+            yield {col: 1}
     for mid, vb, cdb in _coset_middles(bottom):
         gpow = ctx.weight[mid[0] - 1]
         for _, va, cda in _compatible_perms(mid, top):
@@ -327,16 +339,18 @@ def _ideal_row_gen(ctx, bottom, top, delta):
                 for g in reversed(vb):
                     b, terms = _mult_gen(b, terms, "cross", g)
                 if terms:
-                    yield terms
+                    yield {cols[k]: c for k, c in terms.items()}
 
 
 def _new_state(ctx, bottom, top, delta):
-    """A fresh echelon on the piece's shared, replayable row source."""
+    """A fresh echelon on the piece's shared, replayable row source, with the piece's
+    columns (`_basis_keys`)."""
     key = (bottom, top, delta)
     source = ctx.sources.get(key)
     if source is None:
         source = ctx.sources[key] = _RowSource(_ideal_row_gen(ctx, bottom, top, delta))
-    return {"ech": _Echelon(), "source": source, "fed": 0}
+    cols = _basis_keys(bottom, top, delta)
+    return {"ech": _Echelon(), "source": source, "fed": 0, "cols": cols}
 
 
 def _get_state(ctx, bottom, top, delta):
@@ -366,14 +380,23 @@ def _feed_until(state, stop, on_insert=None):
 
 
 def _reduce_vec(ctx, bottom, top, delta, vec):
-    """Remainder of `vec` modulo the ideal piece, feeding rows until it vanishes.
+    """Remainder of `vec` (canonical terms of one degree) modulo the ideal piece, feeding
+    rows until it vanishes.
 
-    The remainder is reduced once, then kept reduced as rows come in: a new pivot p
-    needs only `rem -= rem[p] * row_p`, since every older row is zero at p and the new
-    row is zero at every older pivot.
+    The remainder is reduced once, on columns, then kept reduced as rows come in: a new
+    pivot p needs only `rem -= rem[p] * row_p`, since every older row is zero at p and
+    the new row is zero at every older pivot.  A nonzero remainder is read back as keys.
     """
     state = _get_state(ctx, bottom, top, delta)
-    remainder = state["ech"].reduce(vec)
+    cols = state["cols"]
+    # plain loops, not comprehensions: on a piece of a few keys the translation is a
+    # visible share of a reduction, and before Python 3.12 a comprehension is a call
+    colvec = {}
+    for k, c in vec.items():
+        colvec[cols[k]] = c
+    remainder = state["ech"].reduce(colvec)
+    if not remainder:
+        return {}
 
     def on_insert(ech, pivot):
         c = remainder.get(pivot)
@@ -381,7 +404,13 @@ def _reduce_vec(ctx, bottom, top, delta, vec):
             _axpy(remainder, -c, ech.rows[pivot])
 
     _feed_until(state, lambda ech: not remainder, on_insert)
-    return remainder
+    if not remainder:
+        return {}
+    keys = tuple(cols)
+    out = {}
+    for col, c in remainder.items():
+        out[keys[col]] = c
+    return out
 
 
 def _rank_dim(state, nbasis):
@@ -456,7 +485,8 @@ def gdim_hom(e, e2, ctx):
     delta = dmin
     while delta <= ctx.degree_cap:
         nbasis = len(_basis_keys(e, e2, delta))
-        dims[delta] = _rank_dim(_get_state(ctx, e, e2, delta), nbasis)
+        # a piece with no basis keys (a degree of the other parity) needs no echelon
+        dims[delta] = _rank_dim(_get_state(ctx, e, e2, delta), nbasis) if nbasis else 0
         if delta >= dmin + 1 and dims[delta] == 0 and dims[delta - 1] == 0:
             status = EXACT
             break
@@ -629,7 +659,7 @@ def _tilde_gdim_zero(ctx, g1, g2):
 
     The piece lies in its graded-symmetry range (`_symmetry_range`); if that passes the
     degree cap the pair is not certified and the answer is False.  Each degree seeds a
-    fresh, unstored echelon with the killed keys.
+    fresh, unstored echelon with the killed keys' columns.
     """
     bottom, top = g1.sequence, g2.sequence
     if sorted(bottom) != sorted(top):
@@ -639,9 +669,10 @@ def _tilde_gdim_zero(ctx, g1, g2):
         return False
     for delta in range(dmin, dmax + 1):
         state = _new_state(ctx, bottom, top, delta)
+        cols = state["cols"]
         for key in _killed_keys(g1, g2, delta):
-            state["ech"].insert({key: 1})
-        if _rank_dim(state, len(_basis_keys(bottom, top, delta))):
+            state["ech"].insert({cols[key]: 1})
+        if _rank_dim(state, len(cols)):
             return False
     return True
 

@@ -2,6 +2,7 @@
 
 import functools
 from fractions import Fraction
+from operator import add
 
 __all__ = [
     "StrandSeq",
@@ -434,24 +435,36 @@ def _mult_gen(bottom, terms, kind, p):
     b2 = _swapseq(bottom, p)
     equal = b2[p - 1] == b2[p]
     out = {}
+    get = out.get
+    # `_bump` inlined, as this loop builds the cyclotomic ideal rows: a canonical dict
+    # holds no zero coefficient, so an entry that sums to zero was already present
     for (e, w), c in terms.items():
-        k, l = e[p - 1], e[p]
+        head, k, l, tail = e[: p - 1], e[p - 1], e[p], e[p + 1:]
         if equal:
             # x_p^k x_{p+1}^l psi_p = psi_p x_p^l x_{p+1}^k
             #   + sum_{t<k} x_p^{t+l} x_{p+1}^{k-1-t} - sum_{t<l} x_p^{t+k} x_{p+1}^{l-1-t}
             for t in range(k):
-                e2 = list(e)
-                e2[p - 1], e2[p] = t + l, k - 1 - t
-                _bump(out, (tuple(e2), w), c)
+                key = (head + (t + l, k - 1 - t) + tail, w)
+                v = get(key, 0) + c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
             for t in range(l):
-                e2 = list(e)
-                e2[p - 1], e2[p] = t + k, l - 1 - t
-                _bump(out, (tuple(e2), w), -c)
-        emain = list(e)
-        emain[p - 1], emain[p] = l, k
+                key = (head + (t + k, l - 1 - t) + tail, w)
+                v = get(key, 0) - c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        main = head + (l, k) + tail
         for (e3, u), c3 in _nf_cross(b2, (p,) + w).items():
-            e4 = tuple(x + y for x, y in zip(emain, e3))
-            _bump(out, (e4, u), c * c3)
+            key = (tuple(map(add, main, e3)) if any(e3) else main, u)
+            v = get(key, 0) + c * c3
+            if v:
+                out[key] = v
+            else:
+                del out[key]
     return b2, out
 
 

@@ -509,10 +509,15 @@ def branching_character_check(lam):
         m = mu.parts
         top = tuple(m[i] - m[i + 1] for i in range(n - 1)) + (m[-1] - lam.size() + mu.size(),)
         expected[top] += 1
-    e_rows = [row for i in range(1, n) for row in _cleared(module.e_mats[i])[1].values()]
+    # E_i sends each weight space into one other, so the columns of a row of E_i all lie
+    # in one weight space: the rows are grouped by the weight of their first column
+    e_rows = {}
+    for i in range(1, n):
+        for row in _cleared(module.e_mats[i])[1].values():
+            e_rows.setdefault(module.weights[next(iter(row))], []).append(row)
     found = {}
     for wt, cols in module.weight_spaces.items():
-        rows = [[row.get(c, 0) for c in cols] for row in e_rows if not row.keys().isdisjoint(cols)]
+        rows = [[row.get(c, 0) for c in cols] for row in e_rows.get(wt, ())]
         kernel = len(cols) - matrix_rank(rows)
         if kernel:
             found[wt] = kernel

@@ -136,6 +136,45 @@ def test_normal_form_matches_polynomial_oracle():
         assert_elements_agree_in_oracle(x, nf, rng)
 
 
+def random_canonical_terms(rng, m):
+    """One to three canonical keys on m strands that share a random permutation (so they
+    share a top), with dot exponents up to 5 and small nonzero coefficients."""
+    perm = list(range(1, m + 1))
+    rng.shuffle(perm)
+    word = klr._lexmin(tuple(perm))
+    return {
+        (tuple(rng.randint(0, 5) for _ in range(m)), word): rng.choice((-2, -1, 1, 3))
+        for _ in range(rng.randint(1, 3))
+    }
+
+
+def test_crossing_under_canonical_terms_matches_polynomial_oracle():
+    """`_mult_gen` places one crossing under canonical terms with high dot powers, as the
+    cyclotomic ideal rows do under x_1^gpow x^compa psi_va: 2-4 strands, and the two
+    crossed labels equal, adjacent (either way round) or distant, 120 cases each."""
+    rng = random.Random(36)
+    rank = 4
+    for case in range(360):
+        m = rng.randint(2, 4)
+        bottom = [rng.randint(1, rank) for _ in range(m)]
+        p = rng.randint(1, m - 1)
+        a = bottom[p - 1]
+        if case % 3 == 0:
+            bottom[p] = a
+        elif case % 3 == 1:
+            bottom[p] = rng.choice([b for b in (a - 1, a + 1) if 1 <= b <= rank])
+        else:
+            bottom[p] = rng.choice([b for b in range(1, rank + 1) if abs(b - a) >= 2])
+        bottom = tuple(bottom)
+        terms = random_canonical_terms(rng, m)
+        b2, out = klr._mult_gen(bottom, terms, "cross", p)
+        upper = klr.element_from_canonical(rank, bottom, terms)
+        x = KLRElement(
+            rank, {KLRWord(rank, b2, (("cross", p),) + w.ops): c for w, c in upper.terms.items()}
+        )
+        assert_elements_agree_in_oracle(x, klr.element_from_canonical(rank, b2, out), rng)
+
+
 def test_normal_form_terms_are_canonical():
     rng = random.Random(32)
     for _ in range(200):
