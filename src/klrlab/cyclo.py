@@ -469,6 +469,15 @@ def gdim_hom(e, e2, ctx):
     the least crossing degree until the top two computed degrees vanish, or the degree
     cap is hit (then the status is capped).  A label outside 1..ctx.rank raises
     ValueError.
+
+    R^Lambda_beta is graded symmetric and the diagram flip is an anti-involution, so the
+    piece is palindromic about d = (Lambda, beta) - (beta, beta)/2: dim_delta equals
+    dim_{2d - delta}.  Only the degrees up to d get an echelon; each degree above d is
+    read off its mirror, which the sweep has already passed (a mirror below the least
+    crossing degree reads 0).  The stopping rule is kept as it is, so every answer and
+    status is the one a sweep that computes each degree gives.  That rule is not a
+    certificate: a sweep can stop at two zero degrees below d, where a certified sweep
+    would run on to d.
     """
     e = tuple(int(v) for v in e)
     e2 = tuple(int(v) for v in e2)
@@ -480,13 +489,17 @@ def gdim_hom(e, e2, ctx):
     if ctx.rank == 0:
         # no label lies in 1..0, so e = e2 = ()
         return LaurentPoly.one(), EXACT
-    dmin = min(cd for _, _, cd in _compatible_perms(e, e2))
+    dmin, dmax = _symmetry_range(ctx.weight, e, e2)
     dims = {}
     delta = dmin
     while delta <= ctx.degree_cap:
-        nbasis = len(_basis_keys(e, e2, delta))
-        # a piece with no basis keys (a degree of the other parity) needs no echelon
-        dims[delta] = _rank_dim(_get_state(ctx, e, e2, delta), nbasis) if nbasis else 0
+        if 2 * delta > dmin + dmax:
+            # graded symmetry: the mirror degree was swept already, or lies below dmin
+            dims[delta] = dims.get(dmin + dmax - delta, 0)
+        else:
+            nbasis = len(_basis_keys(e, e2, delta))
+            # a piece with no basis keys (a degree of the other parity) needs no echelon
+            dims[delta] = _rank_dim(_get_state(ctx, e, e2, delta), nbasis) if nbasis else 0
         if delta >= dmin + 1 and dims[delta] == 0 and dims[delta - 1] == 0:
             status = EXACT
             break
@@ -647,9 +660,13 @@ def _defect(weight, seq):
     return sum(w * b for w, b in zip(weight, beta)) - sum(b * b for b in beta) + links
 
 
+@functools.cache
 def _symmetry_range(weight, bottom, top):
     """dmin and 2d - dmin: R^Lambda_beta is graded symmetric, so the Hom piece between two
-    idempotents of one content, and any quotient of it, lies in these degrees."""
+    idempotents of one content, and any quotient of it, lies in these degrees.
+
+    Cached: `gdim_hom` asks once per pair, and `_tilde_gdim_zero` and
+    `gt_orthogonality_reach` once per pattern pair."""
     dmin = min(cd for _, _, cd in _compatible_perms(bottom, top))
     return dmin, 2 * _defect(weight, bottom) - dmin
 

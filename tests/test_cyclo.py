@@ -34,9 +34,13 @@ from klrlab.cyclo import (
     _compositions,
     _coset_middles,
     _cross_contrib,
+    _defect,
     _ideal_row_gen,
     _killed_keys,
+    _new_state,
+    _rank_dim,
     _reduce_vec,
+    _symmetry_range,
     _tilde_gdim_zero,
 )
 from klrlab.klr import (
@@ -151,6 +155,85 @@ def test_self_hom_that_the_sweep_cuts_short_matches_the_form(lam, e):
     p, st = gdim_hom(e, e, make_context(lam))
     assert st == EXACT
     assert p == gram_entry(weight_of_partition(lam).entries, e, e)
+
+
+def _same_content_pairs(rank, strands=4, repeat=2):
+    """Every ordered pair of label sequences of one content on 1..strands strands, with at
+    most `repeat` equal labels."""
+    groups = {}
+    for m in range(1, strands + 1):
+        for seq in itertools.product(range(1, rank + 1), repeat=m):
+            if max(map(seq.count, seq)) <= repeat:
+                groups.setdefault(tuple(sorted(seq)), []).append(seq)
+    for group in groups.values():
+        yield from itertools.product(group, repeat=2)
+
+
+def _swept_range(ctx, e, e2):
+    """Every degree of the graded-symmetry range, each computed on a fresh echelon."""
+    dmin, dmax = _symmetry_range(ctx.weight, e, e2)
+    dims = {}
+    for delta in range(dmin, dmax + 1):
+        nbasis = len(_basis_keys(e, e2, delta))
+        dims[delta] = _rank_dim(_new_state(ctx, e, e2, delta), nbasis) if nbasis else 0
+    return dmin, dims
+
+
+def _replayed_sweep(dmin, dims, cap):
+    """gdim_hom's stopping rule run over computed dims: up from dmin until two zero
+    degrees in a row (exact) or past the cap (capped)."""
+    seen, delta, status = {}, dmin, CAPPED
+    while delta <= cap:
+        seen[delta] = dims.get(delta, 0)
+        if delta > dmin and seen[delta] == 0 and seen[delta - 1] == 0:
+            status = EXACT
+            break
+        delta += 1
+    return LaurentPoly({d: v for d, v in seen.items() if v}), status
+
+
+@pytest.mark.parametrize(
+    "lam, caps",
+    [((2, 1, 0), (1, 2, 3, 4, 16)), ((2, 0, 0), (16,)), ((1, 1, 0), (16,)), ((2, 1, 1, 0), (16,))],
+)
+def test_mirrored_degrees_equal_computed_ones(lam, caps):
+    """gdim_hom reads each degree above the middle d of the graded-symmetry range off its
+    mirror 2d - delta.  Here every degree of the range is computed, without the mirror:
+    the dims are palindromic about d, and gdim_hom is the stopping-rule sweep over them,
+    at every cap."""
+    full = make_context(Partition(lam))
+    ctxs = [make_context(Partition(lam), cap) for cap in caps]
+    for e, e2 in _same_content_pairs(full.rank):
+        dmin, dims = _swept_range(full, e, e2)
+        d = _defect(full.weight, e)
+        assert all(dims.get(2 * d - k, 0) == v for k, v in dims.items()), (e, e2, dims)
+        for ctx in ctxs:
+            want = _replayed_sweep(dmin, dims, ctx.degree_cap)
+            assert gdim_hom(e, e2, ctx) == want, (e, e2, ctx.degree_cap)
+
+
+def test_form_is_palindromic_inside_the_symmetry_range():
+    """The contravariant form, which gdim_hom must equal, has every nonzero pairing
+    palindromic about d = (Lambda, beta) - (beta, beta)/2 and inside `_symmetry_range`:
+    a check of `_defect` that runs no elimination."""
+    lams = [(2, 0), (3, 0), (2, 1, 0), (1, 1, 0), (2, 0, 0), (3, 1, 0), (2, 1, 1, 0),
+            (1, 1, 0, 0), (2, 2, 0)]
+    nonzero = 0
+    for lam in lams:
+        hw = tuple(weight_of_partition(Partition(lam)).entries)
+        for beta in itertools.product(range(5), repeat=len(hw)):
+            if not 1 <= sum(beta) <= 4:
+                continue
+            for u, w in itertools.combinations_with_replacement(weight_words(beta), 2):
+                coeffs = dict(map(tuple, gram_entry(hw, u, w).to_pairs()))
+                if not coeffs:
+                    continue
+                nonzero += 1
+                d = _defect(hw, u)
+                dmin, dmax = _symmetry_range(hw, u, w)
+                assert all(coeffs.get(2 * d - k) == c for k, c in coeffs.items()), (lam, u, w)
+                assert dmin <= min(coeffs) and max(coeffs) <= dmax, (lam, u, w)
+    assert nonzero == 129
 
 
 def test_block_decomposition_zero_across_contents():
@@ -844,6 +927,7 @@ def test_cleared_caches_recompute_the_same_answers():
         _compatible_perms,
         _coset_middles,
         _basis_keys,
+        _symmetry_range,
         klr._lexmin,
         klr._nf_cross,
         uqmod._gram_entry,
@@ -856,6 +940,8 @@ def test_cleared_caches_recompute_the_same_answers():
     assert red.is_zero() and status == EXACT
     ((_, state),) = ctx.states.items()
     assert (state["fed"], state["ech"].rank()) == (898, 575)
+    poly, status = gdim_hom(u, w, make_context(Partition((3, 1, 0))))
+    assert poly == gram and status == EXACT
     assert gram_entry(hw, u, w) == gram and not gram.is_zero()
     assert all(fn.cache_info().currsize for fn in caches)
 
@@ -898,7 +984,9 @@ def test_kept_remainder_matches_a_fresh_reduction_after_every_row():
 def test_heaviest_hom_pair_does_the_same_work():
     """e(1,1,2,2) against e(1,2,1,2) at (2,0,0), the heaviest pair of the hom benchmark:
     the rows each odd piece generates and feeds and the rank they reach (the traced
-    `cyclo.rows_generated`, `rows_fed` and `echelon_rank` are their sums)."""
+    `cyclo.rows_generated`, `rows_fed` and `echelon_rank` are their sums).  The range is
+    -3 ... 3 about d = 0, so only pieces -3 and -1 get an echelon; degrees 1, 3 and 5 are
+    read off their mirrors (5 mirrors below the range, so it reads 0)."""
     ctx = make_context(Partition((2, 0, 0)))
     poly, status = gdim_hom((1, 1, 2, 2), (1, 2, 1, 2), ctx)
     assert poly.to_pairs() == [[-3, 1], [-1, 3], [1, 3], [3, 1]] and status == EXACT
@@ -907,7 +995,8 @@ def test_heaviest_hom_pair_does_the_same_work():
         for key, state in ctx.states.items()
         if state["fed"]
     }
-    assert work == {-1: (3, 3, 3), 1: (19, 19, 16), 3: (62, 62, 43), 5: (130, 130, 85)}
+    assert work == {-1: (3, 3, 3)}
+    assert {key[2] for key in ctx.states} == {-3, -1}
 
 
 def test_vanishing_piece_feeds_the_same_rows():
