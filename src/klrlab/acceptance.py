@@ -9,6 +9,7 @@ from .combi import (
     Partition,
     enumerate_gt_patterns,
     interlacing_set,
+    schur_weights,
     weight_of_partition,
     weyl_dim,
 )
@@ -43,32 +44,30 @@ from .uqmod import (
 )
 
 
-def _partitions_exact(parts, max_size):
-    out = []
-
-    def grow(prefix, left):
-        if len(prefix) == parts:
-            out.append(Partition(tuple(prefix)))
-            return
-        hi = prefix[-1] if prefix else left
-        for v in range(min(hi, left), -1, -1):
-            grow(prefix + [v], left - v)
-
-    grow([], max_size)
-    return out
-
-
-def _random_word(rng, max_rank=3, max_strands=4, max_ops=6):
-    n = rng.randint(1, max_rank)
-    m = rng.randint(1, max_strands)
-    bottom = tuple(rng.randint(1, n) for _ in range(m))
+def _random_ops(rng, m, max_ops, p_cross):
+    """Up to max_ops random dots and crossings on m strands; each op is a crossing with
+    probability p_cross, but one strand draws no coin and takes only dots."""
     ops = []
-    for _ in range(rng.randint(0, max_ops)):
-        if m > 1 and rng.random() < 0.7:
-            ops.append(("cross", rng.randint(1, m - 1)))
+    for _ in range(rng.randrange(max_ops + 1)):
+        if m > 1 and rng.random() < p_cross:
+            ops.append(("cross", rng.randrange(1, m)))
         else:
-            ops.append(("dot", rng.randint(1, m)))
-    return KLRWord(n, bottom, ops)
+            ops.append(("dot", rng.randrange(1, m + 1)))
+    return ops
+
+
+def _random_word(rng, max_ops=6):
+    n = rng.randint(1, 3)
+    m = rng.randint(1, 4)
+    bottom = tuple(rng.randint(1, n) for _ in range(m))
+    return KLRWord(n, bottom, _random_ops(rng, m, max_ops, 0.7))
+
+
+def _small_partitions(parts):
+    """The partitions with the given number of parts and at most 6 boxes."""
+    for d in range(7):
+        for w in schur_weights(parts, d, dominant_only=True):
+            yield Partition(w)
 
 
 def check_branching_dimension_sums():
@@ -76,7 +75,7 @@ def check_branching_dimension_sums():
     dimension is at most 20 the module check reads the same family off V(lam)."""
     count = modules = 0
     for parts in (3, 4):
-        for lam in _partitions_exact(parts, 6):
+        for lam in _small_partitions(parts):
             total = sum(weyl_dim(mu) for mu in interlacing_set(lam, "all"))
             if total != weyl_dim(lam):
                 return False, f"sum mismatch at {tuple(lam)}"
@@ -93,7 +92,7 @@ def check_gt_pattern_counts():
         return False, "(2,1,0) does not have 8 patterns"
     count = 0
     for parts in (3, 4):
-        for lam in _partitions_exact(parts, 6):
+        for lam in _small_partitions(parts):
             if len(enumerate_gt_patterns(lam)) != weyl_dim(lam):
                 return False, f"count mismatch at {tuple(lam)}"
             count += 1
@@ -133,18 +132,8 @@ def check_rewriting_confluence():
     for _ in range(100):
         c = _random_word(rng, max_ops=4)
         m = len(c.bottom)
-
-        def rand_ops():
-            ops = []
-            for _ in range(rng.randint(0, 4)):
-                if m > 1 and rng.random() < 0.7:
-                    ops.append(("cross", rng.randint(1, m - 1)))
-                else:
-                    ops.append(("dot", rng.randint(1, m)))
-            return ops
-
-        b = KLRWord(c.rank, c.top(), rand_ops())
-        a = KLRWord(c.rank, b.top(), rand_ops())
+        b = KLRWord(c.rank, c.top(), _random_ops(rng, m, 4, 0.7))
+        a = KLRWord(c.rank, b.top(), _random_ops(rng, m, 4, 0.7))
         if multiply(multiply(a, b), c) != multiply(a, multiply(b, c)):
             return False, "association orders disagree"
     return True, "200 words, 100 triples"
@@ -219,16 +208,9 @@ def check_one_row_vanishing():
     return True, "weights 0-3 with nonzero certificates"
 
 
-def _random_endo_word(rng, rank, bottom, max_ops=5):
-    m = len(bottom)
+def _random_endo_word(rng, rank, bottom):
     while True:
-        ops = []
-        for _ in range(rng.randrange(max_ops + 1)):
-            if m >= 2 and rng.random() < 0.6:
-                ops.append(("cross", rng.randrange(1, m)))
-            else:
-                ops.append(("dot", rng.randrange(1, m + 1)))
-        w = KLRWord(rank, bottom, ops)
+        w = KLRWord(rank, bottom, _random_ops(rng, len(bottom), 5, 0.6))
         if w.top() == bottom:
             return w
 

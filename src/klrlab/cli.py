@@ -24,7 +24,6 @@ from .cyclo import (
 )
 from .klr import (
     KLRElement,
-    KLRWord,
     coeff_to_json,
     factor_general,
     idempotent,
@@ -38,30 +37,29 @@ class UsageError(Exception):
     """Bad command-line input that argparse cannot catch by itself."""
 
 
-def parse_partition(text):
+def _parse_ints(text, what):
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise UsageError(
-            f"malformed partition {text!r}: expected comma-separated integers"
+            f"malformed {what} {text!r}: expected comma-separated integers"
         ) from None
+
+
+def parse_partition(text):
+    parts = _parse_ints(text, "partition")
     try:
         return Partition(parts)
     except ValueError as exc:
         raise UsageError(f"malformed partition {text!r}: {exc}") from None
 
 
-def parse_labels(text, what="sequence"):
+def parse_labels(text):
     if text == "":
         return ()
-    try:
-        seq = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(
-            f"malformed {what} {text!r}: expected comma-separated integers"
-        ) from None
+    seq = _parse_ints(text, "sequence")
     if any(v < 1 for v in seq):
-        raise UsageError(f"malformed {what} {text!r}: labels start at 1")
+        raise UsageError(f"malformed sequence {text!r}: labels start at 1")
     return seq
 
 
@@ -71,12 +69,7 @@ def check_labels(seq, rank):
 
 
 def parse_beta(text):
-    try:
-        beta = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(
-            f"malformed multiplicity vector {text!r}: expected comma-separated integers"
-        ) from None
+    beta = _parse_ints(text, "multiplicity vector")
     if any(v < 0 for v in beta):
         raise UsageError(f"malformed multiplicity vector {text!r}: entries must be >= 0")
     return beta
@@ -127,22 +120,17 @@ def payload_to_csv(payload):
             return v
         return json.dumps(v)
 
-    if isinstance(payload, list) and payload and all(isinstance(r, dict) for r in payload):
+    if isinstance(payload, dict):
+        for k, v in payload.items():
+            writer.writerow([k, cell(v)])
+    elif payload and all(isinstance(r, dict) for r in payload):
         header = list(payload[0].keys())
         writer.writerow(header)
         for row in payload:
             writer.writerow([cell(row.get(h)) for h in header])
-    elif isinstance(payload, list):
-        for row in payload:
-            if isinstance(row, (list, tuple)):
-                writer.writerow([cell(v) for v in row])
-            else:
-                writer.writerow([cell(row)])
-    elif isinstance(payload, dict):
-        for k, v in payload.items():
-            writer.writerow([k, cell(v)])
     else:
-        writer.writerow([cell(payload)])
+        for row in payload:
+            writer.writerow([cell(v) for v in row])
     return buf.getvalue()
 
 
@@ -323,14 +311,14 @@ def cmd_cyc_sl2_vanish(args):
     if lam.part_count != 2:
         raise UsageError("sl2-vanish expects a two-part partition")
     lam1 = weight_of_partition(lam).entries[0]
-    ok = sl2_vanishing_check(lam1, **cap_kwargs(args))
+    ok = sl2_vanishing_check(lam1)
     return {"lambda1": lam1, "ok": ok}, 0 if ok else 1
 
 
 def cmd_cyc_weyl_vanish(args):
     lam = parse_partition(args.partition)
     seq = parse_labels(args.seq)
-    ctx = make_context(lam, **cap_kwargs(args))
+    ctx = make_context(lam)
     check_labels(seq, ctx.rank)
     ok = weyl_vanishing_check(seq, ctx)
     payload = {"lambda": list(lam), "idempotent": list(seq), "ok": ok}
@@ -433,11 +421,11 @@ COMMANDS = {
          "graded Hom dimension between two idempotents"),
         ("compare", cmd_cyc_compare, ["partition", "seq", "seq2", *CAPS, "cache-dir"],
          "graded Hom dimension against the bilinear-form oracle"),
-        ("sl2-vanish", cmd_cyc_sl2_vanish, ["partition", *CAPS],
+        ("sl2-vanish", cmd_cyc_sl2_vanish, ["partition"],
          "one-row vanishing certificate"),
-        ("weyl-vanish", cmd_cyc_weyl_vanish, ["partition", "seq", *CAPS],
+        ("weyl-vanish", cmd_cyc_weyl_vanish, ["partition", "seq"],
          "negative region-weight vanishing"),
-        ("gt-ortho", cmd_cyc_gt_ortho, ["partition", *CAPS, "cache-dir"],
+        ("gt-ortho", cmd_cyc_gt_ortho, ["partition", "deg-cap", "cache-dir"],
          "pairwise vanishing between pattern idempotents"),
     ]),
     "oracle": ("quantum-module oracles", [

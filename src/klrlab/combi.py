@@ -53,10 +53,6 @@ class Partition:
     def to_json(self):
         return list(self.parts)
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data)
-
     def __repr__(self):
         return f"Partition{self.parts}"
 
@@ -72,9 +68,6 @@ class SlWeight:
     @property
     def rank(self):
         return len(self.entries)
-
-    def is_dominant(self):
-        return all(e >= 0 for e in self.entries)
 
     def __eq__(self, other):
         return isinstance(other, SlWeight) and self.entries == other.entries
@@ -105,9 +98,6 @@ class GlWeight:
 
     def __init__(self, entries):
         self.entries = tuple(int(e) for e in entries)
-
-    def is_dominant(self):
-        return all(self.entries[i] >= self.entries[i + 1] for i in range(len(self.entries) - 1))
 
     def __eq__(self, other):
         return isinstance(other, GlWeight) and self.entries == other.entries
@@ -169,10 +159,6 @@ class XiSequence:
     def to_json(self):
         return list(self.rows)
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data)
-
     def __repr__(self):
         return f"XiSequence{self.rows}"
 
@@ -217,10 +203,6 @@ class GTPattern:
     def to_json(self):
         return [list(layer) for layer in self.layers]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data)
-
     def __repr__(self):
         return f"GTPattern{self.layers}"
 
@@ -241,9 +223,6 @@ class CartanA:
         if i == j:
             return 2
         return -1 if abs(i - j) == 1 else 0
-
-    def matrix(self):
-        return [[self.entry(i, j) for j in range(1, self.rank + 1)] for i in range(1, self.rank + 1)]
 
     def __repr__(self):
         return f"CartanA({self.rank})"

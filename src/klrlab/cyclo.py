@@ -361,22 +361,14 @@ def _get_state(ctx, bottom, top, delta):
     return state
 
 
-def _feed_until(state, stop, on_insert=None):
-    """Feed spanning rows into the echelon until `stop(ech)` or the source runs dry.
-
-    `stop` is tested before each row; `on_insert(ech, pivot)` runs after each row that
-    raised the rank.
-    """
-    ech = state["ech"]
-    source = state["source"]
-    while not stop(ech):
-        row = source.get(state["fed"])
-        if row is None:
-            return
-        state["fed"] += 1
-        pivot = ech.insert(row)
-        if pivot is not None and on_insert is not None:
-            on_insert(ech, pivot)
+def _feed(state):
+    """Feed the piece's next spanning row into the echelon.  Return its pivot, None when
+    it reduced to zero, or False when the source has run dry."""
+    row = state["source"].get(state["fed"])
+    if row is None:
+        return False
+    state["fed"] += 1
+    return state["ech"].insert(row)
 
 
 def _reduce_vec(ctx, bottom, top, delta, vec):
@@ -394,16 +386,16 @@ def _reduce_vec(ctx, bottom, top, delta, vec):
     colvec = {}
     for k, c in vec.items():
         colvec[cols[k]] = c
-    remainder = state["ech"].reduce(colvec)
-    if not remainder:
-        return {}
-
-    def on_insert(ech, pivot):
-        c = remainder.get(pivot)
-        if c:
-            _axpy(remainder, -c, ech.rows[pivot])
-
-    _feed_until(state, lambda ech: not remainder, on_insert)
+    ech = state["ech"]
+    remainder = ech.reduce(colvec)
+    while remainder:
+        pivot = _feed(state)
+        if pivot is False:
+            break
+        if pivot is not None:
+            c = remainder.get(pivot)
+            if c:
+                _axpy(remainder, -c, ech.rows[pivot])
     if not remainder:
         return {}
     keys = tuple(cols)
@@ -415,8 +407,10 @@ def _reduce_vec(ctx, bottom, top, delta, vec):
 
 def _rank_dim(state, nbasis):
     """Dimension of one graded piece of the quotient: feed rows until they span it."""
-    _feed_until(state, lambda ech: ech.rank() >= nbasis)
-    return nbasis - state["ech"].rank()
+    rows = state["ech"].rows
+    while len(rows) < nbasis and _feed(state) is not False:
+        pass
+    return nbasis - len(rows)
 
 
 def _reduce_terms(ctx, bottom, top, terms):
@@ -728,12 +722,12 @@ def gt_orthogonality_reach(lam):
     )
 
 
-def sl2_vanishing_check(lam1, degree_cap=8):
+def sl2_vanishing_check(lam1):
     """The idempotent on one strand more than the weight allows reduces to zero exactly."""
     lam1 = int(lam1)
     if lam1 < 0:
         raise ValueError("weight must be nonnegative")
-    ctx = make_context(Partition((lam1, 0)), degree_cap)
+    ctx = make_context(Partition((lam1, 0)))
     e = (1,) * (lam1 + 1)
     red, status = cyc_reduce(idempotent(1, e), ctx)
     return red.is_zero() and status == EXACT

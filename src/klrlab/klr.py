@@ -5,7 +5,6 @@ from fractions import Fraction
 from operator import add
 
 __all__ = [
-    "StrandSeq",
     "KLRWord",
     "KLRElement",
     "SpecialIdempotentSpec",
@@ -19,43 +18,6 @@ __all__ = [
     "idempotent",
     "rewrite_step_count",
 ]
-
-
-class StrandSeq:
-    """A bottom boundary: strand labels in 1..rank, left to right."""
-
-    __slots__ = ("rank", "labels")
-
-    def __init__(self, rank, labels):
-        self.rank = int(rank)
-        self.labels = tuple(int(x) for x in labels)
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        for x in self.labels:
-            if not 1 <= x <= self.rank:
-                raise ValueError(f"label {x} outside 1..{self.rank}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StrandSeq)
-            and self.rank == other.rank
-            and self.labels == other.labels
-        )
-
-    def __hash__(self):
-        return hash(("StrandSeq", self.rank, self.labels))
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __len__(self):
-        return len(self.labels)
-
-    def to_json(self):
-        return list(self.labels)
-
-    def __repr__(self):
-        return f"StrandSeq(rank={self.rank}, {self.labels})"
 
 
 class KLRWord:
@@ -570,13 +532,8 @@ def decorate_regions(x, start):
     rightmost region label and per-entry negativity flags."""
     from .combi import GlWeight
 
-    if isinstance(x, KLRWord):
-        seq = x.bottom
-    elif isinstance(x, StrandSeq):
-        seq = x.labels
-    else:
-        seq = tuple(int(v) for v in x)
-    lab = list(start.entries if isinstance(start, GlWeight) else (int(v) for v in start))
+    seq = tuple(int(v) for v in x)
+    lab = [int(v) for v in start]
     m = len(lab)
     for j in seq:
         if j < 1:
@@ -628,10 +585,6 @@ class SpecialIdempotentSpec:
 
     def to_json(self):
         return {"rank": self.rank, "xi": list(self.xi), "tail": list(self.tail)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["rank"], data["xi"], data["tail"])
 
     def __repr__(self):
         return f"SpecialIdempotentSpec(rank={self.rank}, xi={self.xi}, tail={self.tail})"

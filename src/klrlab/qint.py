@@ -31,10 +31,6 @@ class LaurentPoly:
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def q_power(cls, k, coeff=1):
-        return cls({k: coeff})
-
     def items(self):
         return self._t.items()
 
@@ -112,14 +108,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative exponent of a Laurent polynomial")
-        out = LaurentPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def shift(self, k):
         """Multiply by q^k."""
         out = LaurentPoly()
@@ -131,10 +119,6 @@ class LaurentPoly:
         out = LaurentPoly()
         out._t = {-e: c for e, c in self._t.items()}
         return out
-
-    def at_one(self):
-        """Evaluate at q = 1."""
-        return sum(self._t.values())
 
     def l1_norm(self):
         """The sum of the absolute values of the coefficients."""
@@ -149,10 +133,6 @@ class LaurentPoly:
     def to_pairs(self):
         """JSON form: [[exponent, coefficient], ...] with exponents ascending."""
         return [[e, self._t[e]] for e in sorted(self._t)]
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls({int(e): int(c) for e, c in pairs})
 
     def __repr__(self):
         if not self._t:
@@ -423,19 +403,6 @@ class LaurentFrac:
         return LaurentFrac(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = LaurentFrac(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        return LaurentFrac(self.num * other.den, self.den * other.num)
-
-    def as_poly(self):
-        """Return the numerator if the denominator is 1, else raise."""
-        if self.den == LaurentPoly.one():
-            return self.num
-        raise ArithmeticError(f"fraction {self!r} is not polynomial")
 
     def to_record(self):
         return {"num": self.num.to_pairs(), "den": self.den.to_pairs()}

@@ -160,12 +160,6 @@ class ShapovalovGram:
     def rank(self):
         return matrix_rank([list(row) for row in self.entries])
 
-    def is_symmetric(self):
-        n = len(self.labels)
-        return all(
-            self.entries[r][c] == self.entries[c][r] for r in range(n) for c in range(r + 1, n)
-        )
-
     def to_json(self):
         return {
             "lambda": list(self.hw),
@@ -175,21 +169,6 @@ class ShapovalovGram:
                 [{"num": e.to_pairs(), "den": [[0, 1]]} for e in row] for row in self.entries
             ],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        entries = [
-            [
-                LaurentFrac(
-                    LaurentPoly.from_pairs(e["num"]), LaurentPoly.from_pairs(e["den"])
-                ).as_poly()
-                for e in row
-            ]
-            for row in data["entries"]
-        ]
-        return cls(
-            data["lambda"], data["beta"], [tuple(w) for w in data["labels"]], entries
-        )
 
     def __repr__(self):
         return f"ShapovalovGram(hw={self.hw}, beta={self.beta}, size={len(self.labels)})"

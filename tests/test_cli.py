@@ -116,10 +116,10 @@ PLAIN_FILE = "<plain file>"
         (["klr", "degree"], "{not json"),
         (["cyc", "reduce", "--partition", "1,0"], "{not json"),
         (["cyc", "reduce", "--partition", "1,0", "--deg-cap", "0"], ""),
-        (["cyc", "weyl-vanish", "--partition", "1,0", "--seq", "1", "--deg-cap", "0"], ""),
+        (["cyc", "gdim", "--partition", "2,1,0", "--seq", "1,x"], ""),
         (["cyc", "gdim", "--partition", "1,0", "--seq", "1", "--deg-cap", "-1"], ""),
         (["cyc", "compare", "--partition", "2,1,0", "--seq", "1", "--deg-cap", "0"], ""),
-        (["cyc", "sl2-vanish", "--partition", "2,0", "--deg-cap", "0"], ""),
+        (["cyc", "gdim", "--partition", "2,1,0", "--seq", "0"], ""),
         (["weights", "schur", "--rank", "0", "--degree", "1"], ""),
         (["cyc", "gt-ortho", "--partition", "1,0", "--deg-cap", "0"], ""),
         (["klr", "factor", "--seq", ""], ""),
@@ -144,6 +144,10 @@ PLAIN_FILE = "<plain file>"
         (["klr", "nf"], STRING_LABEL_ELEMENT),
         (["cyc", "compare", "--partition", "3", "--seq", ""], ""),
         (["klr", "nf"], '{"rank": -3, "terms": []}'),
+        (["gt", "enum", "--partition", "2,x"], ""),
+        (["gt", "enum", "--partition", "1,2"], ""),
+        (["oracle", "gram", "--partition", "2,1,0", "--beta", "1,x"], ""),
+        (["oracle", "gram", "--partition", "2,1,0", "--beta", "1,-1"], ""),
     ],
 )
 def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):
@@ -155,6 +159,35 @@ def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and err.startswith("error: ")
     assert list(tmp_path.iterdir()) == [plain] and plain.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "argv, kept, removed",
+    [
+        (["cyc", "sl2-vanish", "--partition", "2,0"], ["--partition"],
+         ["--deg-cap", "--require-exact"]),
+        (["cyc", "weyl-vanish", "--partition", "1,0", "--seq", "1"], ["--partition", "--seq"],
+         ["--deg-cap", "--require-exact"]),
+        (["cyc", "gt-ortho", "--partition", "1,0"], ["--partition", "--deg-cap", "--cache-dir"],
+         ["--require-exact"]),
+    ],
+)
+def test_verbs_take_only_the_flags_they_read(argv, kept, removed, capsys):
+    """The vanishing checks reduce a degree-0 idempotent, so no degree cap changes them,
+    and a capped gt-ortho already exits 1: these flags are rejected, and --help lists
+    exactly the flags each verb takes."""
+    for flag in removed:
+        extra = [flag, "1"] if flag == "--deg-cap" else [flag]
+        with pytest.raises(SystemExit) as info:
+            main(argv + extra)
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert "unrecognized arguments: " + " ".join(extra) in err
+    with pytest.raises(SystemExit) as info:
+        main(argv[:2] + ["--help"])
+    assert info.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {*kept, "--help", "--format", "--out"}
 
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

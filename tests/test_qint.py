@@ -40,7 +40,7 @@ def test_quantum_integer_small_values():
 def test_quantum_integer_negation_and_specialization():
     for n in range(-12, 13):
         assert quantum_integer(-n) == -quantum_integer(n)
-        assert quantum_integer(n).at_one() == n
+        assert sum(c for _, c in quantum_integer(n).items()) == n
         assert quantum_integer(n).bar() == quantum_integer(n)
 
 
@@ -80,7 +80,7 @@ def test_sum_times_quantum_integers_matches_the_products():
         norm = norm * quantum_integer(j) * quantum_integer(30 - j)
     cases = [
         LaurentPoly.one(),
-        LaurentPoly.q_power(-5, 7),
+        LaurentPoly({-5: 7}),
         LaurentPoly({-9: 2, -8: -1, 0: 5, 7: -3, 20: 1}),  # both exponent parities
         LaurentPoly({-12: 1, -11: 4, -3: -6}),
         norm.shift(210),
@@ -137,7 +137,7 @@ def test_json_pairs_roundtrip_and_order():
         p = rand_poly(rng)
         pairs = p.to_pairs()
         assert pairs == sorted(pairs)
-        assert LaurentPoly.from_pairs(pairs) == p
+        assert LaurentPoly(pairs) == p
 
 
 def test_value_semantics():
@@ -181,7 +181,7 @@ def test_bar_ring_map_hypothesis(a, b):
 
 @given(laurent, laurent, st.integers(min_value=-4, max_value=4))
 def test_shift_is_multiplication_by_a_power(a, b, k):
-    assert a.shift(k) == a * LaurentPoly.q_power(k)
+    assert a.shift(k) == a * LaurentPoly({k: 1})
     assert (a * b).shift(k) == a.shift(k) * b
 
 
@@ -196,14 +196,15 @@ def test_gcd_with_a_constant_is_one(f, c):
 
 @given(laurent, nonzero, st.integers(min_value=-4, max_value=4))
 def test_fraction_over_a_monomial(a, c, k):
-    den_in = LaurentPoly.q_power(k, c)
+    den_in = LaurentPoly({k: c})
     f = LaurentFrac(a, den_in)
     assert f.num * den_in == a * f.den
-    assert list(f.den.items()) == [(0, f.den.at_one())] and f.den.at_one() > 0
+    ((exp, den),) = f.den.items()
+    assert exp == 0 and den > 0
     content = 0
     for _, v in f.num.items():
         content = math.gcd(content, v)
-    assert math.gcd(content, f.den.at_one()) == 1
+    assert math.gcd(content, den) == 1
 
 
 def dense_mul(f, g):
@@ -238,7 +239,6 @@ def test_fraction_reduction():
     f = LaurentFrac(a, b)
     # [4]/[2] = q^2 + q^{-2}
     assert f == LaurentFrac(LaurentPoly({2: 1, -2: 1}))
-    assert f.as_poly() == LaurentPoly({2: 1, -2: 1})
     rng = random.Random(16)
     for _ in range(100):
         a, b, c = rand_poly(rng), rand_poly(rng), rand_poly(rng)
@@ -258,8 +258,6 @@ def test_fraction_arithmetic():
         y = LaurentFrac(c, d)
         assert x + y == LaurentFrac(a * d + c * b, b * d)
         assert x * y == LaurentFrac(a * c, b * d)
-        if not y.is_zero():
-            assert (x / y) * y == x
 
 
 non_constant = laurent.filter(lambda d: d.min_exp() != 0 or d.max_exp() != 0)
@@ -283,13 +281,6 @@ def test_hash_agrees_with_equality(a, c, d):
     assert LaurentFrac(c) == c and hash(LaurentFrac(c)) == hash(c)
     for frac in (LaurentFrac(a), LaurentFrac(a * d, d)):
         assert frac == a and hash(frac) == hash(a)
-
-
-def test_negative_power_is_rejected():
-    q = LaurentPoly.q_power(1)
-    assert q ** 0 == 1 and q ** 3 == LaurentPoly.q_power(3)
-    with pytest.raises(ValueError):
-        q ** -1
 
 
 def test_polynomial_operators_defer_to_a_fraction_operand():
@@ -366,7 +357,7 @@ def test_solve_linear_hypothesis(system):
 def test_degenerate_systems():
     assert solve_linear([], []) == []
     assert matrix_rank([]) == matrix_rank([[]]) == matrix_rank([[0, 0]]) == 0
-    q = LaurentPoly.q_power(1)
+    q = LaurentPoly({1: 1})
     for singular in ([[0]], [[1, 2], [2, 4]], [[q, q * q], [LaurentPoly.one(), q]]):
         with pytest.raises(ArithmeticError, match="singular system"):
             solve_linear(singular, [1] * len(singular))
@@ -381,7 +372,7 @@ def _leibniz_det(rows):
     total = LaurentPoly.zero()
     for perm in itertools.permutations(range(len(rows))):
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        term = LaurentPoly.q_power(0, (-1) ** inversions)
+        term = LaurentPoly({0: (-1) ** inversions})
         for i, j in enumerate(perm):
             term = term * _as_poly(rows[i][j])
         total = total + term
@@ -439,7 +430,7 @@ def test_pivot_columns_match_the_minor_oracle(rows):
 def test_minors_that_vanish_at_a_small_power_of_two():
     # a point 2^k below the certified one would zero these determinants (or, in the
     # 3 x 3 case, the leading 2 x 2 minor that picks the second pivot) and lose a pivot
-    q = LaurentPoly.q_power(1)
+    q = LaurentPoly({1: 1})
     one = LaurentPoly.one()
     for j in range(1, 12):
         c = 1 << j
@@ -453,7 +444,7 @@ def test_minors_that_vanish_at_a_small_power_of_two():
     # det M = 2^j (times q^2) reaches the bound B = 2^j + 1 of [M | rhs], so reading it
     # back needs the spare bit
     for j in range(1, 12):
-        for a in (LaurentPoly.q_power(0, 1 << j), LaurentPoly.q_power(2, 1 << j)):
+        for a in (LaurentPoly({0: 1 << j}), LaurentPoly({2: 1 << j})):
             assert solve_linear([[a, 0], [0, 1]], [-1, 0]) == [LaurentFrac(-1, a), 0]
 
 

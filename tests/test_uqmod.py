@@ -14,7 +14,6 @@ from klrlab.combi import CartanA, Partition, weight_of_partition, weyl_dim
 from klrlab.qint import LaurentFrac, LaurentPoly, quantum_integer
 from klrlab.uqmod import (
     HighestWeightModule,
-    ShapovalovGram,
     _gram_entry,
     branching_character_check,
     build_irreducible,
@@ -146,7 +145,7 @@ def test_gram_rank_equals_weight_multiplicity():
             if sum(beta) == 0 or sum(beta) > 4:
                 continue
             g = shapovalov_gram(hw, beta)
-            assert g.is_symmetric()
+            assert g.entries == tuple(zip(*g.entries))
             wt = monomial_weight(hw, weight_words(beta)[0]) if g.labels else None
             mult = len(mod.weight_spaces.get(wt, []))
             assert g.rank() == mult, (hw, beta)
@@ -410,13 +409,13 @@ def _mutations():
         return lambda v: v + x
 
     def times(k):
-        return lambda v: v * LaurentPoly.q_power(k)
+        return lambda v: v * LaurentPoly({k: 1})
 
     return [
         lambda v: LaurentFrac.zero(),
         plus(LaurentFrac.one()),
-        plus(LaurentFrac(LaurentPoly.q_power(40))),
-        plus(LaurentFrac(LaurentPoly.q_power(-37, 3))),
+        plus(LaurentFrac(LaurentPoly({40: 1}))),
+        plus(LaurentFrac(LaurentPoly({-37: 3}))),
         plus(LaurentFrac(2**70)),
         plus(LaurentFrac(LaurentPoly.one(), quantum_integer(3))),
         plus(LaurentFrac(quantum_integer(2), quantum_integer(5))),
@@ -469,7 +468,7 @@ def test_verify_relations_shift_floors_at_zero():
         mod = build_irreducible(hw)
         for i in range(1, mod.rank + 1):
             for mats, k in ((mod.e_mats, 12), (mod.f_mats, -12)):
-                mats[i] = [[v * LaurentPoly.q_power(k) for v in row] for row in mats[i]]
+                mats[i] = [[v * LaurentPoly({k: 1}) for v in row] for row in mats[i]]
         e, f = _cleared_module(mod)
         rows = [row for _, cleared in e.values() for row in cleared.values()]
         assert min(p.min_exp() for row in rows for p in row.values()) > 0, hw
@@ -514,7 +513,7 @@ def _relation_sides(mod, e, f, shift_e, shift_f):
         }
         for j in span:
             yield ent(prod(ev[i], fv[j])), ent(prod(fv[j], ev[i]), h if i == j else {})
-    q, q2 = LaurentPoly.q_power(1), LaurentPoly({2: 1, 0: 1})
+    q, q2 = LaurentPoly({1: 1}), LaurentPoly({2: 1, 0: 1})
     for i in span:
         for j in span:
             for x, y in ((ev[i], ev[j]), (fv[i], fv[j])):
@@ -578,7 +577,7 @@ def test_biadjointness_on_basis():
                         v = mod.e_mats[i][s][c]
                         if not v.is_zero():
                             rhs = rhs + v * pair(r, s)
-                    rhs = rhs * LaurentPoly.q_power(mod.weights[r][i - 1] - 1)
+                    rhs = rhs * LaurentPoly({mod.weights[r][i - 1] - 1: 1})
                     assert lhs == rhs, (hw, i, r, c)
 
 
@@ -645,16 +644,6 @@ def test_branching_check_reads_the_e_action(monkeypatch):
     monkeypatch.setattr(uqmod, "build_irreducible", broken)
     rep = branching_character_check((2, 1, 0))
     assert rep == {"ok": False, "lhs": 8, "rhs": [2, 3, 1, 2]}
-
-
-def test_gram_json_roundtrip():
-    g = shapovalov_gram((2, 1), (1, 1))
-    data = g.to_json()
-    back = ShapovalovGram.from_json(data)
-    assert back.hw == g.hw
-    assert back.beta == g.beta
-    assert back.labels == g.labels
-    assert back.entries == g.entries
 
 
 def test_module_repr_and_type():
