@@ -387,7 +387,8 @@ FLAGS = {
     "blocks": ("--blocks", {"type": int}),
     "deg-cap": ("--deg-cap", {
         "type": int,
-        "help": "highest degree computed; a piece above it makes the result capped",
+        "help": "highest degree computed; a piece above it makes the result capped "
+                "(default 16, or twice the partition's size plus 4 for gt-ortho)",
     }),
     "require-exact": ("--require-exact", {"action": "store_true"}),
     "cache-dir": ("--cache-dir", {}),

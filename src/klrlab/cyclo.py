@@ -117,8 +117,9 @@ def _basis_keys(bottom, top, delta):
     dict: callers must not mutate it).
 
     The echelon of a piece runs on columns, not keys: an int hashes and compares far
-    faster than a nested tuple, and because the columns number the keys in order, the
-    largest column of a row is its largest key."""
+    faster than a nested tuple, and because the columns number the keys in order, a
+    column order is the key order (`_standard_form` reads the normal form on keys off
+    it)."""
     m = len(bottom)
     keys = []
     for _, word, cd in _compatible_perms(bottom, top):
@@ -140,11 +141,14 @@ class _Echelon:
     Every integral entry, stored or reduced, is kept as an int (`_integral`), so on the
     ideal rows, whose coefficients are almost all +-1, the elimination runs on plain ints.
 
-    `rows` maps each pivot (the largest column of its row) to a row whose pivot entry is 1
+    `rows` maps each pivot (the least column of its row) to a row whose pivot entry is 1
     and which is zero at every other pivot: `insert` back-substitutes each new row into
     the others.  Because of that invariant, clearing one pivot of a vector never changes
     its entry at another, so `reduce` clears the pivots a vector meets in any order, in
-    one pass, and the result is the unique normal form of the vector modulo the row span.
+    one pass, and the result is the unique normal form of the vector modulo the row span
+    on the non-pivot columns.  The pivot order decides the fill-in: on the ideal rows the
+    least column stores half the entries of the largest at the (3,0) anchor e(1,1,1,1),
+    and a fifth on e(1^5) at (4,0).  Rank and span do not depend on it.
 
     `cols` indexes that back-substitution: it maps a column to a set of pivots that holds
     every stored row with a nonzero entry in the column (other than its own pivot).  The
@@ -172,7 +176,7 @@ class _Echelon:
         r = self.reduce(vec)
         if not r:
             return None
-        pivot = max(r)
+        pivot = min(r)
         lead = r[pivot]
         if lead == -1:
             r = {k: -v for k, v in r.items()}
@@ -350,7 +354,7 @@ def _new_state(ctx, bottom, top, delta):
     if source is None:
         source = ctx.sources[key] = _RowSource(_ideal_row_gen(ctx, bottom, top, delta))
     cols = _basis_keys(bottom, top, delta)
-    return {"ech": _Echelon(), "source": source, "fed": 0, "cols": cols}
+    return {"ech": _Echelon(), "source": source, "fed": 0, "cols": cols, "form": None}
 
 
 def _get_state(ctx, bottom, top, delta):
@@ -377,7 +381,10 @@ def _reduce_vec(ctx, bottom, top, delta, vec):
 
     The remainder is reduced once, on columns, then kept reduced as rows come in: a new
     pivot p needs only `rem -= rem[p] * row_p`, since every older row is zero at p and
-    the new row is zero at every older pivot.  A nonzero remainder is read back as keys.
+    the new row is zero at every older pivot.  A remainder that is still nonzero once the
+    source runs dry is the normal form on the final echelon's non-pivot columns; it is
+    reported on the standard keys instead, read off the quotient once per piece
+    (`_standard_form`, kept in the piece's state).
     """
     state = _get_state(ctx, bottom, top, delta)
     cols = state["cols"]
@@ -398,11 +405,59 @@ def _reduce_vec(ctx, bottom, top, delta, vec):
                 _axpy(remainder, -c, ech.rows[pivot])
     if not remainder:
         return {}
-    keys = tuple(cols)
+    if state["form"] is None and not ech.cols.keys().isdisjoint(remainder):
+        # a column that no row holds is standard, so until a remainder meets a column
+        # that one does (`_Echelon.cols` lists them), no read-off is needed
+        state["form"] = _standard_form(ech, cols)
+    keys, form = state["form"] or (tuple(cols), {})
     out = {}
     for col, c in remainder.items():
-        out[keys[col]] = c
+        f = form.get(col)
+        if f is None:
+            out[keys[col]] = c
+        else:
+            _axpy(out, c, f)
     return out
+
+
+def _standard_form(ech, cols):
+    """The piece's keys in column order, and {n: {key: coefficient}} for each column n
+    that a row of a final echelon holds besides its pivot: the combination of standard
+    keys that e_n equals modulo the row span.
+
+    A column is standard when it leads no element of the span under the largest-column
+    order, that is when its image in the quotient is independent of the images of every
+    smaller column; the standard keys carry the normal form that `cyc_reduce` reports.
+    The image of a non-pivot column n is e_n, and that of a pivot p is minus row_p
+    without its pivot entry, which lies on the columns the row holds.  So a unit row's
+    pivot has image 0, and a non-pivot column that no row holds is independent of every
+    other image: it is standard and its own form.  The other columns, the pivots of the
+    longer rows and the columns those rows hold, are scanned upward into a second
+    echelon: each image that is independent of the ones before goes in with a tag column
+    of its own, past the piece's columns, so once every held column is a pivot there, the
+    row at n reads e_n as a combination of the tagged images.
+    """
+    keys = tuple(cols)
+    rows = ech.rows
+    longer = [p for p, row in rows.items() if len(row) > 1]
+    held = {k for p in longer for k in rows[p] if k != p}
+    tag = len(keys)
+    scan = _Echelon()
+    for c in sorted(held.union(longer)):
+        if c in held:
+            image = {c: 1}
+        else:
+            image = {k: -v for k, v in rows[c].items() if k != c}
+        image[tag + c] = 1
+        image = scan.reduce(image)
+        if min(image) < tag:
+            scan.insert(image)
+            if len(scan.rows) == len(held):
+                break
+    form = {}
+    for n in held:
+        form[n] = {keys[t - tag]: v for t, v in scan.rows[n].items() if t != n}
+    return keys, form
 
 
 def _rank_dim(state, nbasis):

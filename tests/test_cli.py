@@ -109,46 +109,53 @@ STRING_LABEL_ELEMENT = (
 PLAIN_FILE = "<plain file>"
 
 
+# Every bad input, with the number that names its test id, "argv<number>-<stdin>".  The
+# numbers are fixed, so deleting a case renames no other; a new case takes the next one.
+BAD_INPUTS = [
+    (0, ["klr", "nf"], "{not json"),
+    (1, ["klr", "degree"], "{not json"),
+    (2, ["cyc", "reduce", "--partition", "1,0"], "{not json"),
+    (3, ["cyc", "reduce", "--partition", "1,0", "--deg-cap", "0"], ""),
+    (4, ["cyc", "gdim", "--partition", "2,1,0", "--seq", "1,x"], ""),
+    (5, ["cyc", "gdim", "--partition", "1,0", "--seq", "1", "--deg-cap", "-1"], ""),
+    (6, ["cyc", "compare", "--partition", "2,1,0", "--seq", "1", "--deg-cap", "0"], ""),
+    (7, ["cyc", "gdim", "--partition", "2,1,0", "--seq", "0"], ""),
+    (8, ["weights", "schur", "--rank", "0", "--degree", "1"], ""),
+    (9, ["cyc", "gt-ortho", "--partition", "1,0", "--deg-cap", "0"], ""),
+    (10, ["klr", "factor", "--seq", ""], ""),
+    (11, ["cyc", "gdim", "--partition", "2,1,0", "--seq", "5"], ""),
+    (12, ["cyc", "gdim", "--partition", "2,1,0", "--seq", "1", "--seq2", "3"], ""),
+    (13, ["cyc", "compare", "--partition", "2,1,0", "--seq", "1", "--seq2", "5"], ""),
+    (14, ["oracle", "gram", "--partition", "2,1,0", "--beta", "1,1,1"], ""),
+    (15, ["oracle", "gram", "--partition", "2,1,0", "--beta", "1"], ""),
+    (16, ["branch", "check", "--partition", "2"], ""),
+    (17, ["cyc", "reduce", "--partition", "1,0"], RANK2_ELEMENT % 1),
+    (18, ["cyc", "reduce", "--partition", "1,0"], RANK2_ELEMENT % 2),
+    (19, ["gt", "enum", "--partition", "2,1", "--out", PLAIN_FILE + "/x.json"], ""),
+    (
+        20,
+        ["oracle", "gram", "--partition", "2,1,0", "--beta", "1,0", "--cache-dir", PLAIN_FILE],
+        "",
+    ),
+    (21, ["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "1.5"),
+    (22, ["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "[1, 0]"),
+    (23, ["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "true"),
+    (24, ["cyc", "reduce", "--partition", "2,0"], FLOAT_ELEMENT),
+    (25, ["klr", "nf"], BOOL_RANK_ELEMENT),
+    (26, ["klr", "nf"], STRING_LABEL_ELEMENT),
+    (27, ["cyc", "compare", "--partition", "3", "--seq", ""], ""),
+    (28, ["klr", "nf"], '{"rank": -3, "terms": []}'),
+    (29, ["gt", "enum", "--partition", "2,x"], ""),
+    (30, ["gt", "enum", "--partition", "1,2"], ""),
+    (31, ["oracle", "gram", "--partition", "2,1,0", "--beta", "1,x"], ""),
+    (32, ["oracle", "gram", "--partition", "2,1,0", "--beta", "1,-1"], ""),
+]
+
+
 @pytest.mark.parametrize(
     "argv, stdin",
-    [
-        (["klr", "nf"], "{not json"),
-        (["klr", "degree"], "{not json"),
-        (["cyc", "reduce", "--partition", "1,0"], "{not json"),
-        (["cyc", "reduce", "--partition", "1,0", "--deg-cap", "0"], ""),
-        (["cyc", "gdim", "--partition", "2,1,0", "--seq", "1,x"], ""),
-        (["cyc", "gdim", "--partition", "1,0", "--seq", "1", "--deg-cap", "-1"], ""),
-        (["cyc", "compare", "--partition", "2,1,0", "--seq", "1", "--deg-cap", "0"], ""),
-        (["cyc", "gdim", "--partition", "2,1,0", "--seq", "0"], ""),
-        (["weights", "schur", "--rank", "0", "--degree", "1"], ""),
-        (["cyc", "gt-ortho", "--partition", "1,0", "--deg-cap", "0"], ""),
-        (["klr", "factor", "--seq", ""], ""),
-        (["cyc", "gdim", "--partition", "2,1,0", "--seq", "5"], ""),
-        (["cyc", "gdim", "--partition", "2,1,0", "--seq", "1", "--seq2", "3"], ""),
-        (["cyc", "compare", "--partition", "2,1,0", "--seq", "1", "--seq2", "5"], ""),
-        (["oracle", "gram", "--partition", "2,1,0", "--beta", "1,1,1"], ""),
-        (["oracle", "gram", "--partition", "2,1,0", "--beta", "1"], ""),
-        (["branch", "check", "--partition", "2"], ""),
-        (["cyc", "reduce", "--partition", "1,0"], RANK2_ELEMENT % 1),
-        (["cyc", "reduce", "--partition", "1,0"], RANK2_ELEMENT % 2),
-        (["gt", "enum", "--partition", "2,1", "--out", PLAIN_FILE + "/x.json"], ""),
-        (
-            ["oracle", "gram", "--partition", "2,1,0", "--beta", "1,0", "--cache-dir", PLAIN_FILE],
-            "",
-        ),
-        (["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "1.5"),
-        (["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "[1, 0]"),
-        (["cyc", "reduce", "--partition", "2,0"], COEFF_ELEMENT % "true"),
-        (["cyc", "reduce", "--partition", "2,0"], FLOAT_ELEMENT),
-        (["klr", "nf"], BOOL_RANK_ELEMENT),
-        (["klr", "nf"], STRING_LABEL_ELEMENT),
-        (["cyc", "compare", "--partition", "3", "--seq", ""], ""),
-        (["klr", "nf"], '{"rank": -3, "terms": []}'),
-        (["gt", "enum", "--partition", "2,x"], ""),
-        (["gt", "enum", "--partition", "1,2"], ""),
-        (["oracle", "gram", "--partition", "2,1,0", "--beta", "1,x"], ""),
-        (["oracle", "gram", "--partition", "2,1,0", "--beta", "1,-1"], ""),
-    ],
+    [case[1:] for case in BAD_INPUTS],
+    ids=[f"argv{n}-{stdin}" for n, _, stdin in BAD_INPUTS],
 )
 def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):
     plain = tmp_path / "plain"
@@ -170,12 +177,14 @@ def test_bad_input_exits_2(argv, stdin, monkeypatch, tmp_path, capsys):
          ["--deg-cap", "--require-exact"]),
         (["cyc", "gt-ortho", "--partition", "1,0"], ["--partition", "--deg-cap", "--cache-dir"],
          ["--require-exact"]),
+        (["cyc", "reduce", "--partition", "1,0"],
+         ["--partition", "--in", "--deg-cap", "--require-exact"], []),
     ],
 )
 def test_verbs_take_only_the_flags_they_read(argv, kept, removed, capsys):
     """The vanishing checks reduce a degree-0 idempotent, so no degree cap changes them,
     and a capped gt-ortho already exits 1: these flags are rejected, and --help lists
-    exactly the flags each verb takes."""
+    exactly the flags each verb takes, with both --deg-cap defaults where it is one."""
     for flag in removed:
         extra = [flag, "1"] if flag == "--deg-cap" else [flag]
         with pytest.raises(SystemExit) as info:
@@ -186,8 +195,12 @@ def test_verbs_take_only_the_flags_they_read(argv, kept, removed, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv[:2] + ["--help"])
     assert info.value.code == 0
-    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    out = capsys.readouterr().out
+    flags = set(re.findall(r"--[a-z][a-z-]*", out))
     assert flags == {*kept, "--help", "--format", "--out"}
+    if "--deg-cap" in kept:
+        defaults = "(default 16, or twice the partition's size plus 4 for gt-ortho)"
+        assert defaults in " ".join(out.split())
 
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
