@@ -527,6 +527,11 @@ def gdim_hom(e, e2, ctx):
     status is the one a sweep that computes each degree gives.  That rule is not a
     certificate: a sweep can stop at two zero degrees below d, where a certified sweep
     would run on to d.
+
+    The pair is swept in sorted order (e <= e2 as tuples), so both orders share one set
+    of echelons.  The flip fixes every dot and idempotent, hence the cyclotomic
+    generators, so it maps e R^Lambda e2 onto e2 R^Lambda e degree by degree: each
+    degree, and with it the stopping rule's answer, is the same in both orders.
     """
     e = tuple(int(v) for v in e)
     e2 = tuple(int(v) for v in e2)
@@ -538,6 +543,8 @@ def gdim_hom(e, e2, ctx):
     if ctx.rank == 0:
         # no label lies in 1..0, so e = e2 = ()
         return LaurentPoly.one(), EXACT
+    if e2 < e:
+        e, e2 = e2, e
     dmin, dmax = _symmetry_range(ctx.weight, e, e2)
     dims = {}
     delta = dmin
@@ -714,8 +721,8 @@ def _symmetry_range(weight, bottom, top):
     """dmin and 2d - dmin: R^Lambda_beta is graded symmetric, so the Hom piece between two
     idempotents of one content, and any quotient of it, lies in these degrees.
 
-    Cached: `gdim_hom` asks once per pair, and `_tilde_gdim_zero` and
-    `gt_orthogonality_reach` once per pattern pair."""
+    Cached: `gdim_hom` asks once per unordered pair (it sweeps the pair in sorted order),
+    and `_tilde_gdim_zero` and `gt_orthogonality_reach` once per pattern pair."""
     dmin = min(cd for _, _, cd in _compatible_perms(bottom, top))
     return dmin, 2 * _defect(weight, bottom) - dmin
 

@@ -322,6 +322,23 @@ def test_cyc_gdim_cache_roundtrip(tmp_path, capsys):
     assert code == 0 and out3 == out1
 
 
+def test_cyc_gdim_reversed_pair_keeps_the_given_order(tmp_path, capsys):
+    """gdim_hom sweeps each pair in sorted order, but the record reports left and right
+    as given, with the forward pair's gdim and status."""
+    docs = []
+    for seq, seq2 in [("1,1,2,2", "1,2,1,2"), ("1,2,1,2", "1,1,2,2")]:
+        argv = ["cyc", "gdim", "--partition", "2,0,0", "--seq", seq, "--seq2", seq2,
+                "--cache-dir", str(tmp_path)]
+        code, doc, _ = run_json(capsys, argv)
+        assert code == 0
+        docs.append(doc)
+    forward, back = docs
+    assert (forward["left"], forward["right"]) == ([1, 1, 2, 2], [1, 2, 1, 2])
+    assert (back["left"], back["right"]) == ([1, 2, 1, 2], [1, 1, 2, 2])
+    assert back["gdim"] == forward["gdim"] == [[-3, 1], [-1, 3], [1, 3], [3, 1]]
+    assert back["status"] == forward["status"] == "exact"
+
+
 def test_cyc_sl2_vanish(capsys):
     code, doc, _ = run_json(capsys, ["cyc", "sl2-vanish", "--partition", "2,0"])
     assert code == 0 and doc == {"lambda1": 2, "ok": True}

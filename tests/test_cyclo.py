@@ -236,6 +236,73 @@ def test_form_is_palindromic_inside_the_symmetry_range():
     assert nonzero == 129
 
 
+def _flip_mismatches(ctx, pairs, read_reversed):
+    """The pairs (a, b) on which (b, a) gets another graded-symmetry range than (a, b), or
+    another dimension in some degree of it; `read_reversed(ctx, a, b)` gives (b, a)'s
+    (dmin, dims)."""
+    return [
+        (a, b)
+        for a, b in pairs
+        if _symmetry_range(ctx.weight, a, b) != _symmetry_range(ctx.weight, b, a)
+        or _swept_range(ctx, a, b) != read_reversed(ctx, a, b)
+    ]
+
+
+def _swept_reversed(ctx, a, b):
+    return _swept_range(ctx, b, a)
+
+
+def _read_one_degree_up(ctx, a, b):
+    """A mutant swap: (b, a) read off (a, b), but each dimension one degree up."""
+    dmin, dims = _swept_range(ctx, a, b)
+    return dmin, {k: dims.get(k - 1, 0) for k in dims}
+
+
+def test_reversed_pair_has_the_same_dimension_in_every_degree():
+    """The diagram flip fixes every dot and idempotent, hence the cyclotomic generators,
+    so e(a) R^Lambda e(b) and e(b) R^Lambda e(a) agree in every degree: gdim_hom sweeps
+    each pair in sorted order on that.  Each order is computed here on its own fresh
+    echelons, over the whole graded-symmetry range, without gdim_hom.  The five-strand
+    pairs are every sequence of content (3, 2) against the alternating (1,2,1,2,1): all
+    90 pairs of both five-strand contents take about 10 s."""
+    four = {}
+    for lam in [(2, 1, 0), (3, 1, 0), (2, 0, 0), (2, 1, 1, 0)]:
+        ctx = make_context(Partition(lam))
+        four[lam] = ctx, [(a, b) for a, b in _same_content_pairs(ctx.rank) if a < b]
+        assert _flip_mismatches(*four[lam], _swept_reversed) == [], lam
+    ctx = make_context(Partition((3, 2, 0)))
+    alternating = (1, 2, 1, 2, 1)
+    others = sorted(set(itertools.permutations(alternating)) - {alternating})
+    five = [(alternating, b) for b in others]
+    assert len(five) == 9
+    assert _flip_mismatches(ctx, five, _swept_reversed) == []
+    # the mutant fails on exactly the pairs with a nonzero Hom piece
+    for lam, (ctx, pairs) in four.items():
+        nonzero = [(a, b) for a, b in pairs if any(_swept_range(ctx, a, b)[1].values())]
+        assert nonzero and _flip_mismatches(ctx, pairs, _read_one_degree_up) == nonzero, lam
+
+
+def test_idempotent_vanishes_iff_its_form_does():
+    """e(u) = 0 in R^Lambda iff <u, u> = 0: the self-Hom of a nonzero idempotent holds the
+    idempotent itself.  The converse of criterion 11, on every idempotent of heights <= 4
+    at rank 2 and at (1,1,0,0), and of heights <= 3 at (2,1,0,0)."""
+    families = [((2, 1, 0), 4), ((3, 1, 0), 4), ((2, 0, 0), 4), ((3, 0, 0), 4), ((1, 1, 0), 4),
+                ((2, 2, 0), 4), ((1, 1, 0, 0), 4), ((2, 1, 0, 0), 3)]
+    checked = dead = 0
+    for lam, height in families:
+        lam = Partition(lam)
+        ctx = make_context(lam)
+        hw = tuple(weight_of_partition(lam).entries)
+        for m in range(1, height + 1):
+            for u in itertools.product(range(1, ctx.rank + 1), repeat=m):
+                red, st = cyc_reduce(idempotent(ctx.rank, u), ctx)
+                vanishes = red.is_zero() and st == EXACT
+                assert vanishes == gram_entry(hw, u, u).is_zero(), (lam, u)
+                checked += 1
+                dead += vanishes
+    assert (checked, dead) == (339, 263)
+
+
 def test_block_decomposition_zero_across_contents():
     ctx = make_context(Partition((2, 1, 0)))
     p, st = gdim_hom((1, 2), (1, 1), ctx)
@@ -1041,17 +1108,25 @@ def test_heaviest_hom_pair_does_the_same_work():
     the rows each odd piece generates and feeds and the rank they reach (the traced
     `cyclo.rows_generated`, `rows_fed` and `echelon_rank` are their sums).  The range is
     -3 ... 3 about d = 0, so only pieces -3 and -1 get an echelon; degrees 1, 3 and 5 are
-    read off their mirrors (5 mirrors below the range, so it reads 0)."""
+    read off their mirrors (5 mirrors below the range, so it reads 0).  The reversed pair
+    is swept in sorted order, so it gives the same answer off the same echelons: no new
+    piece, and no row fed."""
     ctx = make_context(Partition((2, 0, 0)))
+
+    def work():
+        return {
+            key: (len(ctx.sources[key].rows), state["fed"], state["ech"].rank())
+            for key, state in ctx.states.items()
+        }
+
     poly, status = gdim_hom((1, 1, 2, 2), (1, 2, 1, 2), ctx)
     assert poly.to_pairs() == [[-3, 1], [-1, 3], [1, 3], [3, 1]] and status == EXACT
-    work = {
-        key[2]: (len(ctx.sources[key].rows), state["fed"], state["ech"].rank())
-        for key, state in ctx.states.items()
-        if state["fed"]
-    }
-    assert work == {-1: (3, 3, 3)}
-    assert {key[2] for key in ctx.states} == {-3, -1}
+    forward = work()
+    assert {key[2]: w for key, w in forward.items() if w[1]} == {-1: (3, 3, 3)}
+    assert {key[2] for key in forward} == {-3, -1}
+    back, back_status = gdim_hom((1, 2, 1, 2), (1, 1, 2, 2), ctx)
+    assert back.to_pairs() == poly.to_pairs() and back_status == status
+    assert work() == forward
 
 
 def test_vanishing_piece_feeds_the_same_rows():
