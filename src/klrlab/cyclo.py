@@ -5,6 +5,7 @@ idempotents.  Only the degree cap bounds the work."""
 import functools
 import itertools
 from fractions import Fraction
+from operator import add
 
 from .combi import GlWeight, Partition, XiSequence, enumerate_gt_patterns
 from .combi import weight_of_partition, xi_apply
@@ -147,8 +148,8 @@ class _Echelon:
     its entry at another, so `reduce` clears the pivots a vector meets in any order, in
     one pass, and the result is the unique normal form of the vector modulo the row span
     on the non-pivot columns.  The pivot order decides the fill-in: on the ideal rows the
-    least column stores half the entries of the largest at the (3,0) anchor e(1,1,1,1),
-    and a fifth on e(1^5) at (4,0).  Rank and span do not depend on it.
+    least column stores less than half the entries of the largest at the (3,0) anchor
+    e(1,1,1,1), and a fifth on e(1^5) at (4,0).  Rank and span do not depend on it.
 
     `cols` indexes that back-substitution: it maps a column to a set of pivots that holds
     every stored row with a nonzero entry in the column (other than its own pivot).  The
@@ -290,39 +291,37 @@ def _ideal_row_gen(ctx, bottom, top, delta):
     order.  Products are written in the order the ops are read, bottom to top.  Unit rows
     for words already carrying the full dot power on the leftmost strand come first
     (each is x_1^gpow e(bottom) times a word, so it lies in the ideal); then the rows
-    psi_vb * x_1^gpow * x^compa * psi_va, where psi_vb runs over the m - 1 non-identity
+    x^comp * psi_vb * x_1^gpow * psi_va, where psi_vb runs over the m - 1 non-identity
     minimal coset representatives of S_m / (S_1 x S_{m-1}) from bottom to a middle
     boundary `mid` (`_coset_middles`: the strands that do not end at slot 1 of mid keep
-    their order), psi_va over every permutation from mid to top, and x^compa over every
-    dot exponent that fills the degree.
+    their order), psi_va over every permutation from mid to top, and x^comp over every
+    dot exponent at the bottom that fills the degree.
 
     Why these span.  The piece is the sum over mid of
-    e(bottom) R e(mid) * x_1^gpow e(mid) * e(mid) R e(top).  The left factor is spanned
-    over Z by psi_w x^c with the dots at the mid end, for any choice of a reduced word of
-    each w: two reduced words of one w give elements that differ by terms psi_w' x^c'
-    with l(w') < l(w), so by induction on length any choice spans once one does.  Factor
-    w = u * v with u a minimal coset representative and v in S_1 x S_{m-1} at the mid end,
-    and take as the reduced word of w the word of u followed by a reduced word of v.
-    Then psi_w x^c = psi_u * psi_v x^c, and psi_v x^c involves only dots and
-    psi_2 ... psi_{m-1}, which all commute with x_1^gpow; moved across the generator
-    (which does not change the label at slot 1, so gpow is the same), psi_v x^c joins the
-    right factor, and that is spanned over Z by x^compa psi_va.  So neither bottom dots
-    nor the other coset elements are needed.  A graded piece is finite, so its rows are
-    never cut.
+    e(bottom) R e(mid) * x_1^gpow e(mid) * e(mid) R e(top).  By the basis theorem
+    (Khovanov-Lauda; Rouquier) each factor is spanned over Z by x^c psi_w, dots at the
+    bottom, for any choice of a reduced word of each w (two reduced words of one w differ
+    by terms with shorter words, so induct on length).  x^c' commutes with x_1^gpow and
+    x^c psi_w x^c' lies back in the left factor's span, so the piece is spanned by
+    x^c psi_w x_1^gpow psi_w'.  Write w = u * v with u a minimal coset representative and
+    v in S_1 x S_{m-1} at the mid end, and take u's word followed by one of v's as w's.
+    psi_v involves only psi_2 ... psi_{m-1}, which commute with x_1^gpow (the label at
+    slot 1 stays, so gpow is the same), so it joins the right factor; moving the dots of
+    the normal form of psi_v psi_w' back down through psi_u leaves x^c psi_u x_1^gpow
+    psi_w'' plus terms whose left word is shorter, which span by induction on l(w).  A
+    graded piece is finite, so its rows are never cut.
 
     Why the identity coset is left out.  Its middle is bottom itself and its gpow is
     lambda_{bottom[0]}, so each of its rows is the single key
-    ((compa_1 + gpow, compa_2, ...), va): every basis key whose x_1 exponent is at least
+    ((comp_1 + gpow, comp_2, ...), va): every basis key whose x_1 exponent is at least
     gpow, once each.  That is exactly the set of unit rows, which come first.
 
-    How a row is built.  va is the lexmin reduced word of its permutation
-    (`_compatible_perms`), and dots sit below crossings in a canonical key, so
-    x_1^gpow * x^compa * psi_va over mid is already canonical: the single key
-    ((compa_1 + gpow, compa_2, ...), va) with coefficient 1, the dict that rewriting the
-    whole word would reach after its dots.  Only vb's crossings are left to multiply in
-    underneath, one `_mult_gen` each, exactly as `canonical_terms` would for those ops,
-    so the row is the same dict, in the same key order; only then are its keys read as
-    columns.
+    How a row is built.  base = psi_vb * x_1^gpow * psi_va is built once per (mid, vb, va)
+    whose degree fits: va is the lexmin word of its permutation (`_compatible_perms`), so
+    x_1^gpow * psi_va is the canonical key ((gpow, 0, ...), va), and vb's crossings are
+    multiplied in underneath, one `_mult_gen` each, as `canonical_terms` would.  Dots
+    sit below crossings in a canonical key, so x^comp * base is base with comp added to
+    every exponent tuple: the canonical dict, in the same key order, with no rewriting.
     """
     m = len(bottom)
     if m == 0 or ctx.rank == 0:
@@ -338,12 +337,13 @@ def _ideal_row_gen(ctx, bottom, top, delta):
             rem = delta - 2 * gpow - cda - cdb
             if rem < 0 or rem % 2:
                 continue
-            for compa in _compositions(rem // 2, m):
-                b, terms = mid, {((compa[0] + gpow,) + compa[1:], va): 1}
-                for g in reversed(vb):
-                    b, terms = _mult_gen(b, terms, "cross", g)
-                if terms:
-                    yield {cols[k]: c for k, c in terms.items()}
+            b, base = mid, {((gpow,) + (0,) * (m - 1), va): 1}
+            for g in reversed(vb):
+                b, base = _mult_gen(b, base, "cross", g)
+            if not base:
+                continue
+            for comp in _compositions(rem // 2, m):
+                yield {cols[tuple(map(add, e, comp)), w]: c for (e, w), c in base.items()}
 
 
 def _new_state(ctx, bottom, top, delta):

@@ -303,6 +303,34 @@ def test_idempotent_vanishes_iff_its_form_does():
     assert (checked, dead) == (339, 263)
 
 
+def test_reduced_basis_keys_have_the_rank_of_the_form():
+    """In each degree of the graded-symmetry range, the remainders of a piece's basis
+    keys under `_reduce_vec` span a space of the dimension that the contravariant form
+    gives that degree: an oracle for the remainder path that uses none of the ideal rows.
+    Every same-content pair of up to 3 strands at (2,1,0) and (3,1,0), and of up to 4
+    strands at (2,0,0), (1,1,0) and (2,2,0)."""
+    families = [((2, 1, 0), 3), ((3, 1, 0), 3), ((2, 0, 0), 4), ((1, 1, 0), 4), ((2, 2, 0), 4)]
+    pairs = total = 0
+    for lam, strands in families:
+        lam = Partition(lam)
+        ctx = make_context(lam)
+        hw = tuple(weight_of_partition(lam).entries)
+        for u, w in _same_content_pairs(ctx.rank, strands, repeat=strands):
+            want = dict(map(tuple, gram_entry(hw, u, w).to_pairs()))
+            dmin, dmax = _symmetry_range(ctx.weight, u, w)
+            got = {}
+            for delta in range(dmin, dmax + 1):
+                span = _Echelon()
+                for key in _basis_keys(u, w, delta):
+                    span.insert(_reduce_vec(ctx, u, w, delta, {key: 1}))
+                if span.rank():
+                    got[delta] = span.rank()
+            assert got == want, (lam, u, w)
+            pairs += 1
+            total += sum(got.values())
+    assert (pairs, total) == (350, 260)
+
+
 def test_block_decomposition_zero_across_contents():
     ctx = make_context(Partition((2, 1, 0)))
     p, st = gdim_hom((1, 2), (1, 1), ctx)
@@ -780,9 +808,9 @@ ROW_PIECES = (
 
 @pytest.mark.parametrize("lam, bottom, top, delta, limit", ROW_PIECES)
 def test_ideal_rows_match_the_per_word_rewrite(lam, bottom, top, delta, limit):
-    """The coset rows (no bottom dots, minimal coset representatives below the generator)
-    span the same ideal piece as every whole sandwich word: the same echelon rank, and
-    the same normal form of every reference row and of random vectors.  The (3,0)
+    """The coset rows (dots only at the bottom, minimal coset representatives below the
+    generator) span the same ideal piece as every whole sandwich word: the same echelon
+    rank, and the same normal form of every reference row and of random vectors.  The (3,0)
     reference is cut at 14,121 rows, which reach rank 575; the coset rows span the whole
     610-word piece (e(1,1,1,1) is zero at (3,0)), so there the reference span is only
     contained in theirs."""
@@ -808,8 +836,8 @@ def test_ideal_rows_match_the_per_word_rewrite(lam, bottom, top, delta, limit):
 
 def coset_word_rows(ctx, bottom, top, delta):
     """Reference coset rows: the generator's unit rows, then each non-identity coset word
-    psi_vb * x_1^gpow * x^compa * psi_va rewritten whole by `canonical_terms`, in the
-    generator's order."""
+    x^comp * psi_vb * x_1^gpow * psi_va rewritten whole by `canonical_terms`, with the
+    comp dots as its first ops, in the generator's order."""
     m = len(bottom)
     lam_bottom = ctx.weight[bottom[0] - 1]
     for key in _basis_keys(bottom, top, delta):
@@ -825,9 +853,9 @@ def coset_word_rows(ctx, bottom, top, delta):
                 rem = delta - 2 * gpow - cda - cdb
                 if rem < 0 or rem % 2:
                     continue
-                for compa in _compositions(rem // 2, m):
-                    ops = [("cross", g) for g in vb] + [("dot", 1)] * gpow
-                    ops += [("dot", p + 1) for p in range(m) for _ in range(compa[p])]
+                for comp in _compositions(rem // 2, m):
+                    ops = [("dot", p + 1) for p in range(m) for _ in range(comp[p])]
+                    ops += [("cross", g) for g in vb] + [("dot", 1)] * gpow
                     ops += [("cross", g) for g in va]
                     _, terms = canonical_terms(KLRWord(ctx.rank, bottom, ops))
                     if terms:
@@ -846,9 +874,9 @@ IDENTITY_PIECES = [piece[:4] for piece in ROW_PIECES] + [
 
 @pytest.mark.parametrize("lam, bottom, top, delta", IDENTITY_PIECES)
 def test_ideal_rows_equal_the_whole_word_rewrite(lam, bottom, top, delta):
-    """Starting each row from its canonical upper key and multiplying in only vb's
-    crossings gives the rows of rewriting each whole coset word, read on columns: the
-    same dicts, in the same order, with the same key order."""
+    """Building each coset product psi_vb * x_1^gpow * psi_va once and shifting its bottom
+    dots gives the rows of rewriting each whole coset word, read on columns: the same
+    dicts, in the same order, with the same key order."""
     ctx = make_context(Partition(lam))
     got = [list(row.items()) for row in _ideal_row_gen(ctx, bottom, top, delta)]
     want = [
@@ -856,6 +884,66 @@ def test_ideal_rows_equal_the_whole_word_rewrite(lam, bottom, top, delta):
         for row in coset_word_rows(ctx, bottom, top, delta)
     ]
     assert got == want
+
+
+def mid_dot_rows(ctx, bottom, top, delta, shift=True):
+    """Reference rows with the free dots at the middle boundary: the unit rows, then
+    psi_vb * x_1^gpow * x^comp * psi_va for each coset triple (mid, vb, va) and each comp
+    that fills the degree, built by multiplying vb's crossings in under the canonical key
+    ((comp_1 + gpow, comp_2, ...), va), so that the dots slide down through them.  With
+    shift=False, a mutant of the generator that drops its bottom-dot shift: only the
+    products that fill the degree with comp = 0."""
+    m = len(bottom)
+    cols = _basis_keys(bottom, top, delta)
+    for key, col in cols.items():
+        if key[0][0] >= ctx.weight[bottom[0] - 1]:
+            yield {col: 1}
+    for mid, vb, cdb in _coset_middles(bottom):
+        gpow = ctx.weight[mid[0] - 1]
+        for _, va, cda in _compatible_perms(mid, top):
+            rem = delta - 2 * gpow - cda - cdb
+            if rem < 0 or rem % 2 or (rem and not shift):
+                continue
+            for comp in _compositions(rem // 2, m):
+                b, terms = mid, {((comp[0] + gpow,) + comp[1:], va): 1}
+                for g in reversed(vb):
+                    b, terms = klr._mult_gen(b, terms, "cross", g)
+                if terms:
+                    yield {cols[k]: c for k, c in terms.items()}
+
+
+def exhausted_rows(rows):
+    ech = _Echelon()
+    for row in rows:
+        ech.insert(row)
+    return ech.rows
+
+
+# (lambda, strands): every same-content pair of label sequences on up to that many strands
+SPAN_FAMILIES = [((1, 1, 0), 3), ((2, 0, 0), 3), ((3, 0), 4), ((2, 0), 4), ((2, 1, 0), 4),
+                 ((3, 1, 0), 4), ((2, 1, 1, 0), 4), ((2, 2, 0), 4), ((1, 1, 0, 0), 4)]
+
+
+def test_bottom_dot_rows_span_what_the_mid_level_dots_span():
+    """The generator's rows, each coset product shifted by bottom dots, and the rows with
+    the dots at the middle boundary give the same exhausted echelon (a reduced echelon
+    form, so the same span) on every nonempty piece of the graded-symmetry range of every
+    same-content pair of these families.  The mutant that drops the shift spans less on
+    some of them."""
+    pieces = mutant_misses = 0
+    for lam, strands in SPAN_FAMILIES:
+        ctx = make_context(Partition(lam))
+        for e, e2 in _same_content_pairs(ctx.rank, strands, repeat=strands):
+            dmin, dmax = _symmetry_range(ctx.weight, e, e2)
+            for delta in range(dmin, dmax + 1):
+                if not _basis_keys(e, e2, delta):
+                    continue
+                want = exhausted_rows(mid_dot_rows(ctx, e, e2, delta))
+                got = exhausted_rows(_ideal_row_gen(ctx, e, e2, delta))
+                assert got == want, (lam, e, e2, delta)
+                pieces += 1
+                mutant_misses += exhausted_rows(mid_dot_rows(ctx, e, e2, delta, False)) != want
+    assert (pieces, mutant_misses) == (2_041, 643)
 
 
 def brute_compatible_perms(bottom, top):
@@ -978,14 +1066,14 @@ def test_echelon_column_index_covers_every_row():
 
 def test_anchor_echelon_stays_in_ints():
     """The anchor's rows reach the same rank on any pivot order; on least-column pivots
-    the echelon stores 1,457 entries (2,928 on largest-column pivots)."""
+    the echelon stores 1,445 entries (3,107 on largest-column pivots)."""
     ctx = make_context(Partition((3, 0)))
     red, status = cyc_reduce(idempotent(1, (1, 1, 1, 1)), ctx)
     assert red.is_zero() and status == EXACT
     ((_, state),) = ctx.states.items()
     ech = state["ech"]
-    assert (state["fed"], ech.rank()) == (898, 575)
-    assert sum(map(len, ech.rows.values())) == 1_457
+    assert (state["fed"], ech.rank()) == (938, 580)
+    assert sum(map(len, ech.rows.values())) == 1_445
     assert all(type(v) is int for row in ech.rows.values() for v in row.values())
 
 
@@ -1009,7 +1097,7 @@ def test_cleared_caches_recompute_the_same_answers():
     red, status = cyc_reduce(idempotent(1, (1, 1, 1, 1)), ctx)
     assert red.is_zero() and status == EXACT
     ((_, state),) = ctx.states.items()
-    assert (state["fed"], state["ech"].rank()) == (898, 575)
+    assert (state["fed"], state["ech"].rank()) == (938, 580)
     poly, status = gdim_hom(u, w, make_context(Partition((3, 1, 0))))
     assert poly == gram and status == EXACT
     assert gram_entry(hw, u, w) == gram and not gram.is_zero()
@@ -1130,9 +1218,9 @@ def test_heaviest_hom_pair_does_the_same_work():
 
 
 def test_vanishing_piece_feeds_the_same_rows():
-    """e(1,1,1) at (2,0) dies after 32 coset rows, at rank 26 of the 29-word piece."""
+    """e(1,1,1) at (2,0) dies after 38 coset rows, at rank 27 of the 29-word piece."""
     ctx = make_context(Partition((2, 0)))
     red, _ = cyc_reduce(idempotent(1, (1, 1, 1)), ctx)
     assert red.is_zero()
     ((_, state),) = ctx.states.items()
-    assert (state["fed"], state["ech"].rank()) == (32, 26)
+    assert (state["fed"], state["ech"].rank()) == (38, 27)
