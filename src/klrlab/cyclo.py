@@ -272,6 +272,7 @@ class CycContext:
         self.degree_cap = int(degree_cap)
         self.sources = {}
         self.states = {}
+        self.reps = _ClassReps()
         self.children = {}
 
     def __repr__(self):
@@ -355,6 +356,29 @@ def _new_state(ctx, bottom, top, delta):
         source = ctx.sources[key] = _RowSource(_ideal_row_gen(ctx, bottom, top, delta))
     cols = _basis_keys(bottom, top, delta)
     return {"ech": _Echelon(), "source": source, "fed": 0, "cols": cols, "form": None}
+
+
+class _ClassReps(dict):
+    """{sequence: `_class_rep(sequence)`}, filled on first lookup."""
+
+    def __missing__(self, seq):
+        rep = self[seq] = _class_rep(seq)
+        return rep
+
+
+def _class_rep(seq):
+    """The lexicographically least sequence reachable from `seq` by swapping adjacent
+    labels a, b with |a - b| > 1.  Greedy: each step takes the least letter whose first
+    occurrence commutes with every letter before it, and removes that occurrence."""
+    rest = list(seq)
+    rep = []
+    while rest:
+        best = None
+        for k, a in enumerate(rest):
+            if (best is None or a < rest[best]) and all(abs(a - b) > 1 for b in rest[:k]):
+                best = k
+        rep.append(rest.pop(best))
+    return tuple(rep)
 
 
 def _get_state(ctx, bottom, top, delta):
@@ -528,13 +552,19 @@ def gdim_hom(e, e2, ctx):
     certificate: a sweep can stop at two zero degrees below d, where a certified sweep
     would run on to d.
 
-    The pair is swept in sorted order (e <= e2 as tuples), so both orders share one set
-    of echelons.  The flip fixes every dot and idempotent, hence the cyclotomic
-    generators, so it maps e R^Lambda e2 onto e2 R^Lambda e degree by degree: each
-    degree, and with it the stopping rule's answer, is the same in both orders.
+    The pair is swept on the least representatives of its commutation classes
+    (`_class_rep`, kept in `ctx.reps`), in sorted order, so every pair of two classes
+    shares one set of echelons.  If |i_k - i_k+1| > 1, psi_k e(i) has degree 0 and
+    psi_k^2 e(i) = e(i); the ideal is two-sided, so multiplying by psi_k on either side
+    is a degree-0 isomorphism between the Hom pieces of i and of s_k i.  It toggles only
+    the inversion of the two distant strands, whose crossing degree is 0, so dmin is the
+    same too, and d depends only on the content.  The flip fixes every dot and
+    idempotent, hence the cyclotomic generators, so it maps e R^Lambda e2 onto
+    e2 R^Lambda e degree by degree.  So each degree, and with it the stopping rule's
+    answer, is the same for the pair as given and for the pair swept.
     """
-    e = tuple(int(v) for v in e)
-    e2 = tuple(int(v) for v in e2)
+    e = tuple(map(int, e))
+    e2 = tuple(map(int, e2))
     s, s2 = sorted(e), sorted(e2)
     if s and (s[0] < 1 or s[-1] > ctx.rank) or s2 and (s2[0] < 1 or s2[-1] > ctx.rank):
         raise ValueError(f"strand labels must lie in 1..{ctx.rank}")
@@ -543,6 +573,9 @@ def gdim_hom(e, e2, ctx):
     if ctx.rank == 0:
         # no label lies in 1..0, so e = e2 = ()
         return LaurentPoly.one(), EXACT
+    if ctx.rank >= 3:
+        # at rank <= 2 no two labels are distant, so each sequence is its own rep
+        e, e2 = ctx.reps[e], ctx.reps[e2]
     if e2 < e:
         e, e2 = e2, e
     dmin, dmax = _symmetry_range(ctx.weight, e, e2)
@@ -721,8 +754,9 @@ def _symmetry_range(weight, bottom, top):
     """dmin and 2d - dmin: R^Lambda_beta is graded symmetric, so the Hom piece between two
     idempotents of one content, and any quotient of it, lies in these degrees.
 
-    Cached: `gdim_hom` asks once per unordered pair (it sweeps the pair in sorted order),
-    and `_tilde_gdim_zero` and `gt_orthogonality_reach` once per pattern pair."""
+    Cached: `gdim_hom` asks once per unordered pair of commutation classes (it sweeps
+    the classes' least representatives in sorted order), and `_tilde_gdim_zero` and
+    `gt_orthogonality_reach` once per pattern pair."""
     dmin = min(cd for _, _, cd in _compatible_perms(bottom, top))
     return dmin, 2 * _defect(weight, bottom) - dmin
 

@@ -30,6 +30,7 @@ from klrlab.cyclo import (
     _Echelon,
     _RowSource,
     _basis_keys,
+    _class_rep,
     _compatible_perms,
     _compositions,
     _coset_middles,
@@ -280,6 +281,92 @@ def test_reversed_pair_has_the_same_dimension_in_every_degree():
     for lam, (ctx, pairs) in four.items():
         nonzero = [(a, b) for a, b in pairs if any(_swept_range(ctx, a, b)[1].values())]
         assert nonzero and _flip_mismatches(ctx, pairs, _read_one_degree_up) == nonzero, lam
+
+
+def _orbit_least(seq):
+    """The least sequence reachable from `seq` by swapping adjacent distant labels,
+    found by searching the whole orbit."""
+    seen, todo = {seq}, [seq]
+    while todo:
+        cur = todo.pop()
+        for k in range(len(cur) - 1):
+            if abs(cur[k] - cur[k + 1]) > 1:
+                nxt = cur[:k] + (cur[k + 1], cur[k]) + cur[k + 2 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return min(seen)
+
+
+def test_class_rep_is_the_least_of_its_orbit():
+    """`_class_rep`'s greedy pick equals a search of the whole orbit, on every sequence
+    over the labels 1..4 of length at most 6."""
+    seqs = [s for m in range(7) for s in itertools.product(range(1, 5), repeat=m)]
+    assert len(seqs) == 5_461
+    assert [s for s in seqs if _class_rep(s) != _orbit_least(s)] == []
+
+
+def _rep_mismatches(ctx, rep):
+    """How many unordered same-content pairs (a, b) `rep` moves, and those among them on
+    which (rep a, rep b) gets another whole-range sweep than (a, b)."""
+    pairs = [(a, b, rep(a), rep(b)) for a, b in _same_content_pairs(ctx.rank) if a <= b]
+    moved = [(a, b, ra, rb) for a, b, ra, rb in pairs if (ra, rb) != (a, b)]
+    bad = [(a, b) for a, b, *reps in moved if _swept_range(ctx, a, b) != _swept_range(ctx, *reps)]
+    return len(moved), bad
+
+
+def _sorted_rep(seq):
+    """A mutant rep that also swaps neighbouring labels."""
+    return tuple(sorted(seq))
+
+
+@pytest.mark.parametrize(
+    "lam, mutant_mismatches", [((2, 1, 1, 0), 289), ((1, 1, 0, 0), 272), ((2, 1, 0, 0), 287)]
+)
+def test_distant_swaps_keep_every_degree(lam, mutant_mismatches):
+    """If |i_k - i_k+1| > 1, multiplying by psi_k is a degree-0 isomorphism between the Hom
+    pieces of i and of s_k i, so a pair and the pair of its classes' least
+    representatives agree in every degree of the graded-symmetry range.  gdim_hom sweeps
+    the reps on that; here each side is computed on fresh echelons, without gdim_hom.
+    The mutant rep that also swaps neighbouring labels moves more pairs and breaks
+    most of them."""
+    ctx = make_context(Partition(lam))
+    assert _rep_mismatches(ctx, _class_rep) == (190, [])
+    moved, bad = _rep_mismatches(ctx, _sorted_rep)
+    assert (moved, len(bad)) == (347, mutant_mismatches)
+
+
+def _flip(rank, seq):
+    return tuple(rank + 1 - v for v in seq)
+
+
+def test_dynkin_flip_carries_each_pair_to_the_dual_weight():
+    """i -> n + 1 - i is an automorphism of the A_n quiver that carries R^Lambda onto
+    R^Lambda*, where Lambda* has the fundamental coordinates of Lambda reversed: the pair
+    (a, b) at lambda and the flipped pair at lambda* agree in every degree.  The mutant
+    that flips the labels but keeps lambda breaks every family that is not self-dual."""
+    families = [
+        ((3, 1, 0), (3, 2, 0), 52),
+        ((2, 0, 0), (2, 2, 0), 32),
+        ((2, 1, 1, 0), (2, 1, 1, 0), 0),
+        ((3, 1, 0, 0), (3, 3, 2, 0), 478),
+    ]
+    checked = 0
+    for lam, dual, mutant_mismatches in families:
+        ctx, dctx = make_context(Partition(lam)), make_context(Partition(dual))
+        assert dctx.weight == ctx.weight[::-1]
+        n = ctx.rank
+        bad, mutant_bad = [], 0
+        for a, b in _same_content_pairs(n):
+            want = _swept_range(ctx, a, b)
+            fa, fb = _flip(n, a), _flip(n, b)
+            if _swept_range(dctx, fa, fb) != want:
+                bad.append((a, b))
+            mutant_bad += _swept_range(ctx, fa, fb) != want
+            checked += 1
+        assert bad == [], lam
+        assert mutant_bad == mutant_mismatches, lam
+    assert checked == 1_420
 
 
 def test_idempotent_vanishes_iff_its_form_does():
@@ -1191,6 +1278,14 @@ def test_kept_remainder_matches_a_fresh_reduction_after_every_row():
     assert moved
 
 
+def _piece_work(ctx):
+    """Each stored piece's rows generated, rows fed and echelon rank."""
+    return {
+        key: (len(ctx.sources[key].rows), state["fed"], state["ech"].rank())
+        for key, state in ctx.states.items()
+    }
+
+
 def test_heaviest_hom_pair_does_the_same_work():
     """e(1,1,2,2) against e(1,2,1,2) at (2,0,0), the heaviest pair of the hom benchmark:
     the rows each odd piece generates and feeds and the rank they reach (the traced
@@ -1200,21 +1295,33 @@ def test_heaviest_hom_pair_does_the_same_work():
     is swept in sorted order, so it gives the same answer off the same echelons: no new
     piece, and no row fed."""
     ctx = make_context(Partition((2, 0, 0)))
-
-    def work():
-        return {
-            key: (len(ctx.sources[key].rows), state["fed"], state["ech"].rank())
-            for key, state in ctx.states.items()
-        }
-
     poly, status = gdim_hom((1, 1, 2, 2), (1, 2, 1, 2), ctx)
     assert poly.to_pairs() == [[-3, 1], [-1, 3], [1, 3], [3, 1]] and status == EXACT
-    forward = work()
+    forward = _piece_work(ctx)
     assert {key[2]: w for key, w in forward.items() if w[1]} == {-1: (3, 3, 3)}
     assert {key[2] for key in forward} == {-3, -1}
     back, back_status = gdim_hom((1, 2, 1, 2), (1, 1, 2, 2), ctx)
     assert back.to_pairs() == poly.to_pairs() and back_status == status
-    assert work() == forward
+    assert _piece_work(ctx) == forward
+
+
+def test_hom_family_sweeps_one_set_of_echelons_per_class_pair():
+    """The `hom` benchmark family at (2,1,1,0) keeps 126 echelon states (282 when each
+    pair was swept as given).  (3,1,2,2) and (1,3,2,2) differ by a swap of the distant
+    labels 1 and 3, so once (1,3,2,2) against itself is swept, both mixed pairs give the
+    same answer off the same echelons: no new piece, and no row fed."""
+    ctx = make_context(Partition((2, 1, 1, 0)))
+    for e, e2 in _same_content_pairs(ctx.rank):
+        gdim_hom(e, e2, ctx)
+    assert len(ctx.states) == 126
+
+    ctx = make_context(Partition((2, 1, 1, 0)))
+    want = (LaurentPoly({-2: 1, 0: 2, 2: 1}), EXACT)
+    assert gdim_hom((1, 3, 2, 2), (1, 3, 2, 2), ctx) == want
+    work = _piece_work(ctx)
+    for e, e2 in [((3, 1, 2, 2), (1, 3, 2, 2)), ((1, 3, 2, 2), (3, 1, 2, 2))]:
+        assert gdim_hom(e, e2, ctx) == want
+        assert _piece_work(ctx) == work
 
 
 def test_vanishing_piece_feeds_the_same_rows():
