@@ -254,7 +254,16 @@ class _RowSource:
 
 
 class CycContext:
-    """A cyclotomic quotient workspace: the partition, the degree cap, and warm memo state."""
+    """A cyclotomic quotient workspace: the partition, the degree cap, and warm memo state.
+
+    `states` holds one echelon per swept Hom piece, keyed (bottom, top, degree), and
+    `sources` its spanning rows; `reps` each sequence's commutation-class representative
+    and that of its Dynkin flip (`_ClassReps`); `homs` each `gdim_hom` answer
+    (poly, status), keyed by the pair as given and by the pair swept (the sorted class
+    representatives, or at a self-dual weight the lesser of those and of their Dynkin
+    flip's image).  An answer depends only on the pair, and the degree cap is fixed per
+    context, so a pair asked again is one lookup.
+    """
 
     def __init__(self, lam, degree_cap):
         if not isinstance(lam, Partition):
@@ -272,7 +281,8 @@ class CycContext:
         self.degree_cap = int(degree_cap)
         self.sources = {}
         self.states = {}
-        self.reps = _ClassReps()
+        self.reps = _ClassReps(self.rank, self.weight)
+        self.homs = {}
         self.children = {}
 
     def __repr__(self):
@@ -359,11 +369,27 @@ def _new_state(ctx, bottom, top, delta):
 
 
 class _ClassReps(dict):
-    """{sequence: `_class_rep(sequence)`}, filled on first lookup."""
+    """{sequence: (rep, flipped)} for one context, filled on first lookup.  rep is the
+    sequence's `_class_rep`, or the sequence itself at rank <= 2, where no two labels
+    are distant; flipped is the same for the sequence's Dynkin flip i -> n + 1 - i when
+    the weight is self-dual and the rank at least 2, and None otherwise."""
+
+    __slots__ = ("distant", "top")
+
+    def __init__(self, rank, weight):
+        super().__init__()
+        self.distant = rank >= 3
+        self.top = rank + 1 if rank >= 2 and weight == weight[::-1] else None
 
     def __missing__(self, seq):
-        rep = self[seq] = _class_rep(seq)
-        return rep
+        rep = _class_rep(seq) if self.distant else seq
+        flipped = None
+        if self.top is not None:
+            flipped = tuple(self.top - v for v in seq)
+            if self.distant:
+                flipped = _class_rep(flipped)
+        self[seq] = out = (rep, flipped)
+        return out
 
 
 def _class_rep(seq):
@@ -562,7 +588,26 @@ def gdim_hom(e, e2, ctx):
     idempotent, hence the cyclotomic generators, so it maps e R^Lambda e2 onto
     e2 R^Lambda e degree by degree.  So each degree, and with it the stopping rule's
     answer, is the same for the pair as given and for the pair swept.
+
+    At a self-dual weight (Lambda* = Lambda, the fundamental coordinates a palindrome)
+    the Dynkin flip sigma: i -> n + 1 - i is an automorphism of the quiver that fixes
+    Lambda, so it maps e(i) R^Lambda e(j) onto e(sigma i) R^Lambda e(sigma j) degree by
+    degree and keeps every crossing degree, hence dmin and d.  There the pair swept is
+    the lesser of the sorted pair of reps and the same pair built for (sigma e,
+    sigma e2) (`_swept_pair`), so the two pairs of a flip orbit share one set of
+    echelons.
+
+    Each answer is kept in `ctx.homs` under the pair as given and the pair swept.  A
+    pair asked again is one lookup; it was validated when its answer was stored.
     """
+    given = (e, e2)
+    try:
+        hit = ctx.homs.get(given)
+    except TypeError:
+        # unhashable labels (lists) are looked up and stored as the swept pair only
+        given = hit = None
+    if hit is not None:
+        return hit
     e = tuple(map(int, e))
     e2 = tuple(map(int, e2))
     s, s2 = sorted(e), sorted(e2)
@@ -573,11 +618,28 @@ def gdim_hom(e, e2, ctx):
     if ctx.rank == 0:
         # no label lies in 1..0, so e = e2 = ()
         return LaurentPoly.one(), EXACT
-    if ctx.rank >= 3:
-        # at rank <= 2 no two labels are distant, so each sequence is its own rep
-        e, e2 = ctx.reps[e], ctx.reps[e2]
-    if e2 < e:
-        e, e2 = e2, e
+    pair = _swept_pair(ctx, e, e2)
+    hit = ctx.homs.get(pair)
+    if hit is None:
+        hit = ctx.homs[pair] = _sweep(ctx, *pair)
+    if given is not None:
+        ctx.homs[given] = hit
+    return hit
+
+
+def _swept_pair(ctx, e, e2):
+    """The pair `gdim_hom` sweeps for (e, e2): the sorted pair of class representatives,
+    or at a self-dual weight the lesser of it and the same pair built for the Dynkin
+    flip's image (sigma e, sigma e2)."""
+    (r, f), (r2, f2) = ctx.reps[e], ctx.reps[e2]
+    pair = (r, r2) if r <= r2 else (r2, r)
+    if f is not None:
+        pair = min(pair, (f, f2) if f <= f2 else (f2, f))
+    return pair
+
+
+def _sweep(ctx, e, e2):
+    """The stopping-rule sweep of one pair: `gdim_hom`'s (poly, status)."""
     dmin, dmax = _symmetry_range(ctx.weight, e, e2)
     dims = {}
     delta = dmin
@@ -754,8 +816,9 @@ def _symmetry_range(weight, bottom, top):
     """dmin and 2d - dmin: R^Lambda_beta is graded symmetric, so the Hom piece between two
     idempotents of one content, and any quotient of it, lies in these degrees.
 
-    Cached: `gdim_hom` asks once per unordered pair of commutation classes (it sweeps
-    the classes' least representatives in sorted order), and `_tilde_gdim_zero` and
+    Cached: `gdim_hom` asks once per pair it sweeps (the classes' least representatives
+    in sorted order, at a self-dual weight the lesser of that pair and its Dynkin flip's,
+    so once per flip orbit of unordered class pairs), and `_tilde_gdim_zero` and
     `gt_orthogonality_reach` once per pattern pair."""
     dmin = min(cd for _, _, cd in _compatible_perms(bottom, top))
     return dmin, 2 * _defect(weight, bottom) - dmin

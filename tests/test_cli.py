@@ -339,6 +339,24 @@ def test_cyc_gdim_reversed_pair_keeps_the_given_order(tmp_path, capsys):
     assert back["status"] == forward["status"] == "exact"
 
 
+def test_cyc_gdim_flipped_pair_keeps_the_given_order(tmp_path, capsys):
+    """At (2,1,1,0), which is self-dual, (3,2,1,2) against (3,1,2,2) is swept on its
+    Dynkin flip's class pair ((1,2,3,2), (1,3,2,2)); the record reports left and right as
+    given, each way round, with the same gdim and status."""
+    docs = []
+    for seq, seq2 in [("3,2,1,2", "3,1,2,2"), ("3,1,2,2", "3,2,1,2")]:
+        argv = ["cyc", "gdim", "--partition", "2,1,1,0", "--seq", seq, "--seq2", seq2,
+                "--cache-dir", str(tmp_path)]
+        code, doc, _ = run_json(capsys, argv)
+        assert code == 0
+        docs.append(doc)
+    forward, back = docs
+    assert (forward["left"], forward["right"]) == ([3, 2, 1, 2], [3, 1, 2, 2])
+    assert (back["left"], back["right"]) == ([3, 1, 2, 2], [3, 2, 1, 2])
+    assert back["gdim"] == forward["gdim"] == [[-1, 1], [1, 1]]
+    assert back["status"] == forward["status"] == "exact"
+
+
 def test_cyc_sl2_vanish(capsys):
     code, doc, _ = run_json(capsys, ["cyc", "sl2-vanish", "--partition", "2,0"])
     assert code == 0 and doc == {"lambda1": 2, "ok": True}

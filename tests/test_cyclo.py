@@ -41,6 +41,7 @@ from klrlab.cyclo import (
     _new_state,
     _rank_dim,
     _reduce_vec,
+    _swept_pair,
     _symmetry_range,
     _tilde_gdim_zero,
 )
@@ -344,10 +345,13 @@ def test_dynkin_flip_carries_each_pair_to_the_dual_weight():
     """i -> n + 1 - i is an automorphism of the A_n quiver that carries R^Lambda onto
     R^Lambda*, where Lambda* has the fundamental coordinates of Lambda reversed: the pair
     (a, b) at lambda and the flipped pair at lambda* agree in every degree.  The mutant
-    that flips the labels but keeps lambda breaks every family that is not self-dual."""
+    that flips the labels but keeps lambda breaks every family that is not self-dual.
+    On the self-dual families (2,1,0) and (2,1,1,0) the flip is a symmetry of one
+    quotient, which gdim_hom sweeps on the lesser pair of each flip orbit."""
     families = [
         ((3, 1, 0), (3, 2, 0), 52),
         ((2, 0, 0), (2, 2, 0), 32),
+        ((2, 1, 0), (2, 1, 0), 0),
         ((2, 1, 1, 0), (2, 1, 1, 0), 0),
         ((3, 1, 0, 0), (3, 3, 2, 0), 478),
     ]
@@ -366,7 +370,28 @@ def test_dynkin_flip_carries_each_pair_to_the_dual_weight():
             checked += 1
         assert bad == [], lam
         assert mutant_bad == mutant_mismatches, lam
-    assert checked == 1_420
+    assert checked == 1_482
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (3, 1, 0)])
+def test_pairs_swept_on_their_flip_orbit_give_their_own_sweep(lam):
+    """At a self-dual weight gdim_hom sweeps the lesser pair of each Dynkin-flip orbit and
+    keeps the answer for every pair that maps to it.  Every ordered same-content pair,
+    any number of equal labels, asked on one context per cap, gets its own stopping-rule
+    sweep over its own fresh whole-range echelons, value and status.  (3,1,0) is not
+    self-dual (its dual is (3,2,0)), so no pair there may be swept on its flip: a
+    gdim_hom that flips at every weight breaks 34 of its 98 pairs, at both caps."""
+    full = make_context(Partition(lam))
+    ctxs = [make_context(Partition(lam), cap) for cap in (3, 16)]
+    pairs = list(_same_content_pairs(full.rank, repeat=4))
+    random.Random(37).shuffle(pairs)
+    bad = []
+    for e, e2 in pairs:
+        dmin, dims = _swept_range(full, e, e2)
+        for ctx in ctxs:
+            if gdim_hom(e, e2, ctx) != _replayed_sweep(dmin, dims, ctx.degree_cap):
+                bad.append((e, e2, ctx.degree_cap))
+    assert bad == []
 
 
 def test_idempotent_vanishes_iff_its_form_does():
@@ -1306,14 +1331,18 @@ def test_heaviest_hom_pair_does_the_same_work():
 
 
 def test_hom_family_sweeps_one_set_of_echelons_per_class_pair():
-    """The `hom` benchmark family at (2,1,1,0) keeps 126 echelon states (282 when each
-    pair was swept as given).  (3,1,2,2) and (1,3,2,2) differ by a swap of the distant
-    labels 1 and 3, so once (1,3,2,2) against itself is swept, both mixed pairs give the
-    same answer off the same echelons: no new piece, and no row fed."""
+    """The `hom` benchmark family at (2,1,1,0) keeps 69 echelon states: 282 when each
+    pair was swept as given, 126 when swept on its commutation-class representatives,
+    and 69 now that (2,1,1,0), which is self-dual, also sweeps the lesser pair of each
+    Dynkin-flip orbit.  (3,1,2,2) and (1,3,2,2) differ by a swap of the distant labels 1
+    and 3, so once (1,3,2,2) against itself is swept, both mixed pairs give the same
+    answer off the same echelons: no new piece, and no row fed.  The flip i -> 4 - i
+    carries (3,2,1,1) to (1,2,3,3), so once (3,2,1,1) against itself is swept, so is
+    (1,2,3,3) against itself."""
     ctx = make_context(Partition((2, 1, 1, 0)))
     for e, e2 in _same_content_pairs(ctx.rank):
         gdim_hom(e, e2, ctx)
-    assert len(ctx.states) == 126
+    assert len(ctx.states) == 69
 
     ctx = make_context(Partition((2, 1, 1, 0)))
     want = (LaurentPoly({-2: 1, 0: 2, 2: 1}), EXACT)
@@ -1321,6 +1350,37 @@ def test_hom_family_sweeps_one_set_of_echelons_per_class_pair():
     work = _piece_work(ctx)
     for e, e2 in [((3, 1, 2, 2), (1, 3, 2, 2)), ((1, 3, 2, 2), (3, 1, 2, 2))]:
         assert gdim_hom(e, e2, ctx) == want
+        assert _piece_work(ctx) == work
+
+    ctx = make_context(Partition((2, 1, 1, 0)))
+    assert gdim_hom((3, 2, 1, 1), (3, 2, 1, 1), ctx) == want
+    work = _piece_work(ctx)
+    assert work
+    assert gdim_hom((1, 2, 3, 3), (1, 2, 3, 3), ctx) == want
+    assert _piece_work(ctx) == work
+
+
+def test_pair_asked_again_is_one_lookup():
+    """Once (3,2,1,2) against (3,1,2,2) is swept at (2,1,1,0), on its flip image
+    ((1,2,3,2), (1,3,2,2)), the pair asked again, reversed, with (1,3,2,2) for its class
+    member (3,1,2,2), flipped (i -> 4 - i), or as lists, gets the kept answer itself: no
+    new piece, and no row fed."""
+    ctx = make_context(Partition((2, 1, 1, 0)))
+    e, e2 = (3, 2, 1, 2), (3, 1, 2, 2)
+    assert _swept_pair(ctx, e, e2) == ((1, 2, 3, 2), (1, 3, 2, 2))
+    want = gdim_hom(e, e2, ctx)
+    assert want == (LaurentPoly({-1: 1, 1: 1}), EXACT)
+    work = _piece_work(ctx)
+    assert work
+    asked = [
+        (e, e2),
+        (e2, e),
+        (e, (1, 3, 2, 2)),
+        (_flip(3, e), _flip(3, e2)),
+        (list(e2), list(e)),
+    ]
+    for a, b in asked:
+        assert gdim_hom(a, b, ctx) is want, (a, b)
         assert _piece_work(ctx) == work
 
 
