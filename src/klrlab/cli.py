@@ -439,6 +439,17 @@ COMMANDS = {
 }
 
 
+def add_verb_arguments(parser, func, flags):
+    """Give a verb's parser its flags, then --format and --out, and its handler."""
+    for name in flags:
+        option, kwargs = FLAGS[name]
+        parser.add_argument(option, **kwargs)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", metavar="FILE", default=None)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="klrlab",
@@ -450,25 +461,37 @@ def build_parser():
             dest="verb", required=True
         )
         for verb, func, flags, verb_help in verbs:
-            p = subparsers.add_parser(verb, help=verb_help)
-            for name in flags:
-                option, kwargs = FLAGS[name]
-                p.add_argument(option, **kwargs)
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-            p.add_argument("--out", metavar="FILE", default=None)
-            p.set_defaults(func=func)
+            add_verb_arguments(subparsers.add_parser(verb, help=verb_help), func, flags)
     return parser
 
 
 @functools.cache
-def _parser():
-    """The process's one parser, built on the first `main` call.  Reuse is safe: every
-    `parse_args` fills a fresh namespace, and `build_parser()` still returns a new one."""
-    return build_parser()
+def _verb_parser(group, verb):
+    """One verb's parser, the one `build_parser()` nests under `klrlab group verb`, built
+    on the first command that names the verb and reused by later ones: one entry per
+    verb.  Reuse is safe: every parse fills a fresh namespace."""
+    ((func, flags),) = [(f, fl) for v, f, fl, _ in COMMANDS[group][1] if v == verb]
+    parser = argparse.ArgumentParser(prog=f"klrlab {group} {verb}")
+    return add_verb_arguments(parser, func, flags)
+
+
+def parse_args(argv):
+    """The namespace `build_parser().parse_args(argv)` gives, with the same output and
+    exit on help or error.  A known group and verb take the rest from the verb's own
+    parser; anything else, leftover arguments included, goes to the whole tree, which
+    reports it as before."""
+    group, verb = (*argv[:2], None, None)[:2]
+    if any(v == verb for v, *_ in COMMANDS.get(group, ("", ()))[1]):
+        args, extras = _verb_parser(group, verb).parse_known_args(
+            argv[2:], argparse.Namespace(group=group, verb=verb)
+        )
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         payload, code = args.func(args)
         emit(payload, args)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end and the result cache."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -433,8 +434,9 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_reused_parser_leaks_nothing_between_commands(tmp_path, capsys, monkeypatch):
-    """One process runs a command sequence on the parser it built once; every call's
-    stdout, stderr, exit code, --out file and cache files equal a fresh interpreter's."""
+    """One process runs a command sequence on verb parsers it built once each, and never
+    builds the whole tree; every call's stdout, stderr, exit code, --out file and cache
+    files equal a fresh interpreter's."""
     builds = []
     build_parser = cli.build_parser
 
@@ -442,7 +444,7 @@ def test_reused_parser_leaks_nothing_between_commands(tmp_path, capsys, monkeypa
         builds.append(1)
         return build_parser()
 
-    cli._parser.cache_clear()
+    cli._verb_parser.cache_clear()
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     element = element_file(tmp_path, "el.json", 1, (1, 1), [("cross", 1), ("dot", 1)])
     gdim = ["cyc", "gdim", "--partition", "2,1,0", "--seq", "1,2", "--seq2", "1,2"]
@@ -483,13 +485,114 @@ def test_reused_parser_leaks_nothing_between_commands(tmp_path, capsys, monkeypa
     assert "the following arguments are required: --partition" in here[2][2]
     assert here == there
     assert len(here[-1][3]) == 3  # two cache entries and the --out file
-    assert builds == [1]
+    # One build for each of cyc gdim, klr nf and gt enum; the two later gdims reuse theirs.
+    info = cli._verb_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 2, 3)
+    assert builds == []
 
 
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["gt", "bogus"])
     assert info.value.code == 2
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    """The installed `klrlab` script calls `main()`, which parses `sys.argv[1:]`."""
+    monkeypatch.setattr(sys, "argv", ["klrlab", "gt", "enum", "--partition", "2,1,0"])
+    code, doc, _ = run_json(capsys, None)
+    assert code == 0 and len(doc) == 8
+
+
+def parse_outcome(parse, argv):
+    """What parsing argv prints to stdout and stderr, its exit code (None when it does not
+    exit) and the namespace's attributes in sorted order."""
+    out, err = io.StringIO(), io.StringIO()
+    args, code = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args and sorted(vars(args).items())
+
+
+# A value for each flag that takes one.
+FLAG_VALUES = {
+    "partition": "2,1,0", "seq": "1", "seq2": "1,1", "beta": "1", "rank": "2",
+    "degree": "2", "in": "el.json", "optional-rank": "2", "blocks": "1", "deg-cap": "3",
+    "cache-dir": "cache",
+}
+
+
+def flag_args(names, joined=False):
+    """The argv giving each named flag its value, as `--flag=value` if joined."""
+    argv = []
+    for name in names:
+        option, kwargs = cli.FLAGS[name]
+        if kwargs.get("action") == "store_true":
+            argv.append(option)
+        elif joined:
+            argv.append(f"{option}={FLAG_VALUES[name]}")
+        else:
+            argv += [option, FLAG_VALUES[name]]
+    return argv
+
+
+def argv_shapes(flags):
+    """Well- and ill-formed argument lists after a verb that takes the named flags."""
+    required = flag_args([n for n in flags if cli.FLAGS[n][1].get("required")])
+    every = flag_args(flags) + ["--format", "csv", "--out", "out.json"]
+    int_flag = next((cli.FLAGS[n][0] for n in flags if cli.FLAGS[n][1].get("type") is int),
+                    "--rank")
+    return [
+        ["-h"],
+        ["--help"],
+        [],
+        required,
+        required + ["--out"],
+        required + ["--bogus", "1"],
+        required + ["-x"],
+        required + ["--format", "xml"],
+        required + [int_flag, "x"],
+        required + ["--part", "3,1,0"],
+        flag_args(flags, joined=True) + ["--format=csv"],
+        required + ["--format", "csv", "--format", "json"],
+        required + ["--", "x"],
+        ["--", *required],
+        required + [int_flag, "-1"],
+        required + ["extra"],
+        every,
+        every + ["extra", "--help"],
+    ]
+
+
+VERBS = [(group, verb, flags) for group, (_, verbs) in cli.COMMANDS.items()
+         for verb, _, flags, _ in verbs]
+
+
+@pytest.mark.parametrize("group, verb, flags", VERBS, ids=[f"{g}-{v}" for g, v, _ in VERBS])
+def test_verb_parser_parses_as_the_whole_tree(group, verb, flags):
+    """On every argv shape, main's parse prints, exits and fills the namespace as the
+    whole tree does."""
+    tree = cli.build_parser()
+    for shape in argv_shapes(flags):
+        argv = [group, verb, *shape]
+        expected = parse_outcome(tree.parse_args, argv)
+        assert parse_outcome(cli.parse_args, argv) == expected, argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help", "cyc", "gdim"], ["cyc"], ["cyc", "-h"], ["cyc", "bogus"],
+    ["bogus", "gdim"], ["cyc", "--part", "2,1,0"], ["gdim", "cyc"],
+])
+def test_other_argv_parse_as_the_whole_tree(argv):
+    """Without a known group and verb first, main parses with the whole tree and builds
+    no verb parser."""
+    cli._verb_parser.cache_clear()
+    expected = parse_outcome(cli.build_parser().parse_args, argv)
+    assert parse_outcome(cli.parse_args, argv) == expected
+    assert cli._verb_parser.cache_info().currsize == 0
 
 
 def test_cache_dir_resolution(monkeypatch, tmp_path):
