@@ -11,6 +11,7 @@ from .cache import ResultCache
 from .combi import Partition, enumerate_gt_patterns, schur_weights, weight_of_partition
 from .cyclo import (
     CAPPED,
+    DEFAULT_DEGREE_CAP,
     EXACT,
     cyc_reduce,
     gdim_hom,
@@ -259,21 +260,23 @@ def cmd_cyc_reduce(args):
 
 
 def hom_inputs(args):
-    """The partition, the two sequences (`--seq2` defaults to `--seq`), the quotient
-    context and the cache key of `cyc gdim` and `cyc compare`."""
+    """The partition, the two sequences (`--seq2` defaults to `--seq`), the degree cap
+    and the cache key of `cyc gdim` and `cyc compare`.  A cache hit needs no quotient
+    context, so `compute` builds one."""
     lam = parse_partition(args.partition)
     e = parse_labels(args.seq)
     e2 = parse_labels(args.seq2) if args.seq2 is not None else e
-    ctx = make_context(lam, **cap_kwargs(args))
-    check_labels(e + e2, ctx.rank)
-    key = [f"cyc {args.verb}", list(lam), list(e), list(e2), ctx.degree_cap]
-    return lam, e, e2, ctx, key
+    cap = cap_kwargs(args).get("degree_cap", DEFAULT_DEGREE_CAP)
+    check_labels(e + e2, lam.part_count - 1)
+    key = [f"cyc {args.verb}", list(lam), list(e), list(e2), cap]
+    return lam, e, e2, cap, key
 
 
 def cmd_cyc_gdim(args):
-    lam, e, e2, ctx, key = hom_inputs(args)
+    lam, e, e2, cap, key = hom_inputs(args)
 
     def compute():
+        ctx = make_context(lam, cap)
         poly, status = gdim_hom(e, e2, ctx)
         return hom_record(ctx, e, e2, poly, status)
 
@@ -283,14 +286,13 @@ def cmd_cyc_gdim(args):
 
 
 def cmd_cyc_compare(args):
-    lam, e, e2, ctx, key = hom_inputs(args)
+    lam, e, e2, cap, key = hom_inputs(args)
     if lam.part_count < 2:
         raise UsageError("cyc compare needs a partition with at least two parts")
-    hw = weight_of_partition(lam).entries
 
     def compute():
-        poly, status = gdim_hom(e, e2, ctx)
-        gram = gram_entry(hw, e, e2)
+        poly, status = gdim_hom(e, e2, make_context(lam, cap))
+        gram = gram_entry(weight_of_partition(lam).entries, e, e2)
         return {
             "gdim": poly.to_pairs(),
             "shapovalov": gram.to_pairs(),
@@ -388,7 +390,8 @@ FLAGS = {
     "deg-cap": ("--deg-cap", {
         "type": int,
         "help": "highest degree computed; a piece above it makes the result capped "
-                "(default 16, or twice the partition's size plus 4 for gt-ortho)",
+                f"(default {DEFAULT_DEGREE_CAP}, or twice the partition's size plus 4 "
+                "for gt-ortho)",
     }),
     "require-exact": ("--require-exact", {"action": "store_true"}),
     "cache-dir": ("--cache-dir", {}),

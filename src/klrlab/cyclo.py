@@ -42,6 +42,8 @@ __all__ = [
 
 EXACT = "exact"
 CAPPED = "capped"
+# The degree cap of a quotient context built without one (`make_context`, the CLI).
+DEFAULT_DEGREE_CAP = 16
 
 
 @functools.cache
@@ -289,7 +291,7 @@ class CycContext:
         return f"CycContext(lam={tuple(self.lam)}, degree_cap={self.degree_cap})"
 
 
-def make_context(lam, degree_cap=16):
+def make_context(lam, degree_cap=DEFAULT_DEGREE_CAP):
     """Build a quotient context."""
     return CycContext(lam, degree_cap)
 

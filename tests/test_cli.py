@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import klrlab
-from klrlab import cli
+from klrlab import cli, cyclo
 from klrlab.cache import ResultCache, default_cache_dir
 from klrlab.cli import main
 
@@ -656,3 +657,103 @@ def test_cache_reads_records_streamed_by_json_dump(tmp_path):
         raise AssertionError("recomputed a cached result")
 
     assert cache.fetch(key, miss) == payload
+
+
+def _pinned_record(key, payload):
+    """The bytes `put` writes for key and payload."""
+    record = {"key": key, "sha256": canonical_sha256(payload), "payload": payload}
+    return json.dumps(record).encode("utf-8")
+
+
+# Each turns the pinned bytes of a record into a bad entry.  The encoding cases would be
+# hits for a reader that let `json.loads` guess the encoding of the bytes, or decoded
+# them leniently: the cache reads UTF-8 only.
+BAD_ENTRIES = {
+    "other-key": lambda good: _pinned_record(["k", 2], {"value": 7}),
+    "wrong-sha256": lambda good: good.replace(
+        canonical_sha256({"value": 7}).encode(), b"0" * 64
+    ),
+    "not-a-dict": lambda good: b"[" + good + b"]",
+    "empty": lambda good: b"",
+    "invalid-utf8": lambda good: b'{"note": "\xff", ' + good[1:],
+    "utf8-bom": lambda good: b"\xef\xbb\xbf" + good,
+    "utf16": lambda good: good.decode("utf-8").encode("utf-16"),
+}
+
+
+@pytest.mark.parametrize("spoil", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_bad_cache_entry_is_a_miss_that_rewrites_it(spoil, tmp_path):
+    key, payload = ["k", 1], {"value": 7}
+    cache = ResultCache(str(tmp_path))
+    good = _pinned_record(key, payload)
+    path = Path(cache.path_for(key))
+    path.write_bytes(spoil(good))
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return dict(payload)
+
+    assert cache.fetch(key, compute) == payload and calls == [1]
+    assert path.read_bytes() == good
+    assert cache.fetch(key, compute) == payload and calls == [1]
+
+
+def test_cache_roundtrips_a_payload_over_64_kib(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    key = ["big", 1]
+    payload = {"rows": [[i, i * i] for i in range(8000)]}
+    cache.put(key, payload)
+    with open(cache.path_for(key), "rb") as fh:
+        written = fh.read()
+    assert len(written) > 64 * 1024 and written == _pinned_record(key, payload)
+
+    def miss():
+        raise AssertionError("recomputed a cached result")
+
+    assert cache.fetch(key, miss) == payload
+
+
+def test_cache_put_makes_a_missing_nested_directory(tmp_path):
+    directory = tmp_path / "a" / "b"
+    cache = ResultCache(str(directory))
+    assert cache.put(["k", 1], {"value": 7}) == {"value": 7}
+    assert [p.name for p in directory.iterdir()] == [canonical_sha256(["k", 1]) + ".json"]
+
+
+def test_plain_file_cache_dir_error_is_pinned(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    argv = ["cyc", "gdim", "--partition", "2,0", "--seq", "1", "--cache-dir", str(plain)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot write the cache in {str(plain)!r}: "
+        f"[Errno 17] File exists: {str(plain)!r}\n"
+    )
+
+
+@pytest.mark.parametrize("verb", ["gdim", "compare"])
+def test_warm_cached_hom_builds_no_context(verb, tmp_path, capsys, monkeypatch):
+    """A hit answers from the cache alone; the key's cap is `make_context`'s default."""
+    built = []
+    make_context = cli.make_context
+
+    def counting_make_context(*args, **kwargs):
+        ctx = make_context(*args, **kwargs)
+        built.append(ctx)
+        return ctx
+
+    monkeypatch.setattr(cli, "make_context", counting_make_context)
+    argv = ["cyc", verb, "--partition", "2,1,0", "--seq", "1,2", "--seq2", "2,1",
+            "--cache-dir", str(tmp_path)]
+    code, cold, _ = run(capsys, argv)
+    assert code == 0 and len(built) == 1
+    code, warm, _ = run(capsys, argv)
+    assert code == 0 and warm == cold and len(built) == 1
+    default = inspect.signature(cyclo.make_context).parameters["degree_cap"].default
+    assert default == cyclo.DEFAULT_DEGREE_CAP == built[0].degree_cap
+    (entry,) = tmp_path.iterdir()
+    assert json.loads(entry.read_bytes())["key"] == [
+        f"cyc {verb}", [2, 1, 0], [1, 2], [2, 1], cyclo.DEFAULT_DEGREE_CAP
+    ]
