@@ -16,6 +16,7 @@ from .cyclo import (
     cyc_reduce,
     gdim_hom,
     gt_idempotent,
+    gt_orthogonality_cap,
     gt_orthogonality_check,
     gt_orthogonality_reach,
     hom_record,
@@ -329,7 +330,7 @@ def cmd_cyc_weyl_vanish(args):
 
 def cmd_cyc_gt_ortho(args):
     lam = parse_partition(args.partition)
-    deg_cap = cap_kwargs(args).get("degree_cap", 2 * lam.size() + 4)
+    deg_cap = cap_kwargs(args).get("degree_cap", gt_orthogonality_cap(lam))
     key = ["cyc gt-ortho", list(lam), deg_cap]
 
     def compute():

@@ -33,6 +33,7 @@ __all__ = [
     "branch_context",
     "append_free_strand",
     "gt_idempotent",
+    "gt_orthogonality_cap",
     "gt_orthogonality_check",
     "gt_orthogonality_reach",
     "sl2_vanishing_check",
@@ -855,13 +856,18 @@ def _gt_pairs(lam):
     return [(g1, g2) for g1 in gts for g2 in gts if g1.pattern != g2.pattern]
 
 
+def gt_orthogonality_cap(lam):
+    """The degree cap of `gt_orthogonality_check` (and `cyc gt-ortho`) given none."""
+    return 2 * lam.size() + 4
+
+
 def gt_orthogonality_check(lam, degree_cap=None):
     """Hom spaces between distinct pattern idempotents all vanish, certified over each
     pair's graded-symmetry degree range; False if that range passes the degree cap."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if degree_cap is None:
-        degree_cap = 2 * lam.size() + 4
+        degree_cap = gt_orthogonality_cap(lam)
     ctx = make_context(lam, degree_cap)
     return all(_tilde_gdim_zero(ctx, g1, g2) for g1, g2 in _gt_pairs(lam))
 

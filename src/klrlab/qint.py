@@ -2,6 +2,7 @@
 
 from itertools import accumulate, count
 from math import gcd as _int_gcd
+from operator import add as _add
 from operator import sub as _sub
 
 
@@ -166,31 +167,52 @@ def _window_sums(c, m):
     return list(accumulate(map(_sub, c + [0] * (m - 1), [0] * m + c)))
 
 
-def sum_times_quantum_integers(terms, shift):
-    """q^shift times the sum of [r][n] * p over the terms (p, r, n), r >= 1, in one pass.
+def dense_sum_times_quantum_integers(terms, shift):
+    """q^shift times the sum of [r][n] * p over the terms (lo, c, r, n), r >= 1, on
+    coefficient lists of one exponent-parity class.
 
-    [m] is a run of |m| monomials two degrees apart, so it multiplies each
-    exponent-parity class of p on its own: on the dense coefficients of one class it is
-    a running sum of |m| consecutive entries.  Each p is laid out dense once, both
-    factors act on each nonzero class, and every class adds into one dict, so the sum
-    is built without an intermediate polynomial and exactly for any exponents."""
-    acc = {}
-    get = acc.get
-    for p, r, n in terms:
-        if not p:
-            continue
-        lo, dense = _to_dense(-p if n < 0 else p)
-        n = abs(n)
-        for par in (0, 1):
-            half = dense[par::2]
-            if any(half):
-                # half[k] sits at q^(lo + par + 2k); [r][n] reaches down r + n - 2 degrees
-                start = lo + par + shift - r - n + 2
-                for e, c in zip(count(start, 2), _window_sums(_window_sums(half, r), n)):
-                    if c:
-                        acc[e] = get(e, 0) + c
+    Each p is given as p = sum_k c[k] q^(lo + 2k), with c[0] and c[-1] nonzero (an empty
+    c is p = 0), and the result comes back the same way, as (lo, c) with c trimmed and
+    (0, []) for zero.  [m] is a run of |m| monomials two degrees apart, so on such a list
+    it is a running sum of |m| consecutive entries that lowers lo by |m| - 1, and [-m] is
+    its negation.  All the products must lie in one parity class, as they do when lo + r
+    + n has one parity over the terms (else ValueError); each is then added slice-wise
+    into one list.  A single nonzero term needs no sum: its product with [r][n] keeps
+    its end coefficients, up to sign, so it is already trimmed."""
+    parts = []
+    for lo, c, r, n in terms:
+        if c and n:
+            m = abs(n)
+            parts.append((lo + shift - r - m + 2, _window_sums(_window_sums(c, r), m), n < 0))
+    if not parts:
+        return 0, []
+    if len(parts) == 1:
+        ((lo, c, neg),) = parts
+        return lo, [-v for v in c] if neg else c
+    base = min([lo for lo, _, _ in parts])
+    size = max([lo + 2 * len(c) for lo, c, _ in parts]) - base
+    if any((lo - base) & 1 for lo, _, _ in parts):
+        raise ValueError("the products lie in two exponent-parity classes")
+    acc = [0] * (size >> 1)
+    for lo, c, neg in parts:
+        k = (lo - base) >> 1
+        end = k + len(c)
+        acc[k:end] = map(_sub if neg else _add, acc[k:end], c)
+    if acc[0] and acc[-1]:
+        return base, acc
+    first = next((k for k, v in enumerate(acc) if v), None)
+    if first is None:
+        return 0, []
+    last = len(acc)
+    while not acc[last - 1]:
+        last -= 1
+    return base + 2 * first, acc[first:last]
+
+
+def from_parity_class(lo, c):
+    """The LaurentPoly sum_k c[k] q^(lo + 2k) of a coefficient list of one parity class."""
     out = LaurentPoly()
-    out._t = {e: c for e, c in acc.items() if c}
+    out._t = {e: v for e, v in zip(count(lo, 2), c) if v}
     return out
 
 

@@ -8,11 +8,12 @@ from .qint import (
     LaurentFrac,
     LaurentPoly,
     at_power_of_two,
+    dense_sum_times_quantum_integers,
+    from_parity_class,
     matrix_rank,
     pivot_columns,
     quantum_integer,
     solve_linear,
-    sum_times_quantum_integers,
 )
 
 __all__ = [
@@ -70,6 +71,28 @@ def _runs(hw, w, i):
     return runs, a
 
 
+def _check_letters(rank, *words):
+    """Raise ValueError if a word has a letter outside 1..rank."""
+    for w in words:
+        if w and (min(w) < 1 or max(w) > rank):
+            raise ValueError(f"word letters must lie in 1..{rank}")
+
+
+def _dual(hw, words):
+    """hw and the words, moved to the dual weight hw[::-1] when that is the smaller.
+
+    The diagram flip i -> n + 1 - i of the Dynkin diagram A_n takes F_w v in V(hw) to
+    F_w' v in V(hw[::-1]), w' the flipped word, and preserves the form: it maps each run
+    of `_runs` to the run of the flipped letter, with the same weight entry, so the
+    recursion of `_gram_entry` gives the same answer on the flipped pair.  V(hw) and
+    its dual so share one set of memo entries."""
+    dual = hw[::-1]
+    if dual < hw:
+        top = len(hw) + 1
+        return dual, [tuple([top - i for i in w]) for w in words]
+    return hw, words
+
+
 def gram_entry(hw, u, w):
     """Contravariant pairing of the monomial vectors F_u v and F_w v, normalized to <v,v> = 1.
 
@@ -78,41 +101,55 @@ def gram_entry(hw, u, w):
     deletions are grouped by the word they leave and their coefficients summed first, so
     each distinct remaining word is paired with head once (a string F_i^k v has one, not k),
     and a word whose summed coefficient is zero is not paired at all.  The form is
-    symmetric, so the pair is memoized in sorted order.  A letter outside 1..len(hw)
-    raises ValueError.
+    symmetric, so the pair is memoized in sorted order, on the smaller of hw and its
+    dual (`_dual`).  A letter outside 1..len(hw) raises ValueError.
     """
     hw = tuple(hw)
-    su, sw = sorted(u), sorted(w)
-    rank = len(hw)
-    if su and (su[0] < 1 or su[-1] > rank) or sw and (sw[0] < 1 or sw[-1] > rank):
-        raise ValueError(f"word letters must lie in 1..{rank}")
-    if su != sw:
+    _check_letters(len(hw), u, w)
+    if sorted(u) != sorted(w):
         return LaurentPoly.zero()
-    return _gram_entry(hw, *sorted((tuple(u), tuple(w))))
+    hw, pair = _dual(hw, (tuple(u), tuple(w)))
+    return _gram_entry(hw, *sorted(pair))[2]
+
+
+_ONE = (0, [1], LaurentPoly.one())
 
 
 @functools.cache
 def _gram_entry(hw, u, w):
-    """`gram_entry` on tuples of equal content with letters in 1..len(hw).
+    """`gram_entry` on tuples of equal content with letters in 1..len(hw), as (lo, c, p):
+    the form p = sum_k c[k] q^(lo + 2k), with c[0] and c[-1] nonzero (p = 0 has c = []).
 
     Deleting any letter of a maximal run of r copies of i in w leaves the same word, and
     the s-th letter of the run meets the weight entry a - 2s, a being the entry at the
     start of the run.  So the run contributes that word's pairing once, with the summed
     coefficient [a] + [a-2] + ... + [a-2r+2] = [r][a-r+1]; deletions from different runs
     leave different words.  [r] is never zero, so the run drops out exactly when
-    a - r + 1 = 0, and then its word is not paired at all."""
+    a - r + 1 = 0, and then its word is not paired at all.
+
+    Every entry lies in one exponent-parity class, so one coefficient list two degrees
+    apart holds it: the exponents of <F_u v, F_w v> are all f(u) + N(w) mod 2, with N(w)
+    the number of places s < t with w_s = w_t + 1 and f(u) depending on u and hw alone.
+    By induction on the length: deleting the letter i at place t of w leaves w' with
+    N(w) - N(w') = #(i+1 before t) + #(i-1 after t), and the weight entry there is
+    a = hw_i - 2 #(i before t) + #(i-1 before t) + #(i+1 before t), so
+    a + N(w') = hw_i + N(w) + m_(i-1) mod 2, m_(i-1) the number of letters i - 1 in w.
+    A run's term has parity f(head) + N(w') + (r + a - r + 1 - 2) + (end + 1), which is
+    f(head) + hw_i + m_(i-1) + end + N(w) mod 2, the same for every run, as end and
+    m_(i-1) depend on the content alone."""
     if not u:
-        return LaurentPoly.one()
+        return _ONE
     head, i = u[:-1], u[-1]
     runs, end = _runs(hw, w, i)
-    terms = [
-        (_gram_entry(hw, head, w[:start] + w[start + 1 :]), r, a - r + 1)
-        for start, r, a in runs
-        if a != r - 1
-    ]
+    terms = []
+    for start, r, a in runs:
+        if a != r - 1:
+            lo, c, _ = _gram_entry(hw, head, w[:start] + w[start + 1 :])
+            terms.append((lo, c, r, a - r + 1))
     # end is the i-th weight entry of F_w v, the same as of F_u v; F_head v has one
     # letter i fewer, so its entry is end + 2, and the shift is that entry less 1
-    return sum_times_quantum_integers(terms, end + 1)
+    lo, c = dense_sum_times_quantum_integers(terms, end + 1)
+    return lo, c, from_parity_class(lo, c)
 
 
 def weight_words(beta):
@@ -140,10 +177,22 @@ def weight_words(beta):
 
 
 def _gram_rows(hw, words):
-    """The form on the monomial words, as rows: one `gram_entry` call per unordered pair,
-    mirrored below the diagonal."""
-    upper = [[gram_entry(hw, u, w) for w in words[a:]] for a, u in enumerate(words)]
-    return [[upper[b][a - b] for b in range(a)] + upper[a] for a in range(len(words))]
+    """The form on sorted monomial words of one content, as rows: one memo read per
+    unordered pair, mirrored below the diagonal.
+
+    The words share their letters, so one word is checked.  On the dual weight
+    (`_dual`) the flip reverses the lexicographic order of words of one length, so the
+    flipped words are read backwards, and so are the rows and their entries."""
+    _check_letters(len(hw), words[0])
+    key_hw, keys = _dual(hw, words)
+    flipped = keys is not words
+    if flipped:
+        keys.reverse()
+    upper = [[_gram_entry(key_hw, u, w)[2] for w in keys[a:]] for a, u in enumerate(keys)]
+    rows = [[upper[b][a - b] for b in range(a)] + upper[a] for a in range(len(keys))]
+    if flipped:
+        rows = [row[::-1] for row in reversed(rows)]
+    return rows
 
 
 class ShapovalovGram:

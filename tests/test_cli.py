@@ -374,13 +374,27 @@ def test_cyc_weyl_vanish(capsys):
     assert doc == {"lambda": [1, 0], "idempotent": [1, 1], "ok": True}
 
 
-def test_cyc_gt_ortho(tmp_path, capsys):
+def test_cyc_gt_ortho(tmp_path, capsys, monkeypatch):
+    """The cache key's cap is the one `gt_orthogonality_check` uses given none."""
+    caps = []
+    make_context = cyclo.make_context
+
+    def recording_make_context(lam, degree_cap=cyclo.DEFAULT_DEGREE_CAP):
+        caps.append(degree_cap)
+        return make_context(lam, degree_cap)
+
+    monkeypatch.setattr(cyclo, "make_context", recording_make_context)
     code, doc, _ = run_json(
         capsys,
         ["cyc", "gt-ortho", "--partition", "1,0", "--cache-dir", str(tmp_path)],
     )
     assert code == 0
     assert doc == {"lambda": [1, 0], "patterns": 2, "ok": True}
+    (entry,) = tmp_path.iterdir()
+    key = json.loads(entry.read_bytes())["key"]
+    caps.clear()
+    assert cyclo.gt_orthogonality_check([1, 0])
+    assert key == ["cyc gt-ortho", [1, 0], caps[0]] and caps == [6]
 
 
 def test_cyc_gt_ortho_capped_says_so(tmp_path, capsys):

@@ -14,12 +14,13 @@ from klrlab.qint import (
     _evaluate,
     _from_balanced_digits,
     at_power_of_two,
+    dense_sum_times_quantum_integers,
+    from_parity_class,
     matrix_rank,
     pivot_columns,
     quantum_integer,
     row_echelon_bareiss,
     solve_linear,
-    sum_times_quantum_integers,
 )
 
 
@@ -73,7 +74,37 @@ def _by_products(terms, shift):
     return total.shift(shift)
 
 
-def test_sum_times_quantum_integers_matches_the_products():
+def _classes(p):
+    """p's nonzero exponent-parity classes, each as a trimmed list (lo, c) of
+    coefficients two degrees apart."""
+    out = []
+    for par in (0, 1):
+        exps = [e for e, _ in p.items() if e % 2 == par]
+        if exps:
+            lo, hi = min(exps), max(exps)
+            out.append((lo, [dict(p.items()).get(e, 0) for e in range(lo, hi + 1, 2)]))
+    return out
+
+
+def _dense_sum(terms, shift):
+    """`dense_sum_times_quantum_integers` on terms (p, r, n) of any parities: each p is
+    split into its classes, the classes whose products share a parity are summed in one
+    call, and the results are checked trimmed and added up."""
+    groups = {}
+    for p, r, n in terms:
+        for lo, c in _classes(p):
+            groups.setdefault((lo + r + n) % 2, []).append((lo, c, r, n))
+    total = LaurentPoly.zero()
+    for group in groups.values():
+        lo, c = dense_sum_times_quantum_integers(group, shift)
+        assert (lo, c) == (0, []) or (c[0] and c[-1]), (group, shift, lo, c)
+        got = from_parity_class(lo, c)
+        assert 0 not in got._t.values()
+        total = total + got
+    return total
+
+
+def test_dense_sum_times_quantum_integers_matches_the_products():
     # the norm <F^14 v, F^14 v> = q^210 [14]! [29][28]...[16] of the highest weight 29
     norm = LaurentPoly.one()
     for j in range(1, 15):
@@ -89,9 +120,8 @@ def test_sum_times_quantum_integers_matches_the_products():
         for r in (1, 2, 3, 7):
             for n in (-9, -2, -1, 1, 2, 5, 30):
                 for shift in (-4, 0, 3):
-                    got = sum_times_quantum_integers([(p, r, n)], shift)
+                    got = _dense_sum([(p, r, n)], shift)
                     assert got == _by_products([(p, r, n)], shift), (p, r, n, shift)
-                    assert 0 not in got._t.values()
     rng = random.Random(23)
     for _ in range(300):
         terms = [
@@ -99,25 +129,29 @@ def test_sum_times_quantum_integers_matches_the_products():
             for _ in range(rng.randint(1, 5))
         ]
         shift = rng.randint(-8, 8)
-        got = sum_times_quantum_integers(terms, shift)
-        assert got == _by_products(terms, shift), (terms, shift)
-        assert 0 not in got._t.values()
+        assert _dense_sum(terms, shift) == _by_products(terms, shift), (terms, shift)
 
 
-def test_sum_times_quantum_integers_edge_cases():
+def test_dense_sum_times_quantum_integers_edge_cases():
     p = LaurentPoly({-3: 2, 0: -1, 1: 4})  # both exponent parities
-    assert sum_times_quantum_integers([], 5).is_zero()
-    assert sum_times_quantum_integers([(LaurentPoly.zero(), 3, 4)], 2).is_zero()
-    assert sum_times_quantum_integers([(p, 1, 1)], 0) == p
-    assert sum_times_quantum_integers([(p, 1, -1)], 2) == -p.shift(2)
-    assert sum_times_quantum_integers([(p, 1, 0)], 0).is_zero()
+    assert dense_sum_times_quantum_integers([], 5) == (0, [])
+    assert dense_sum_times_quantum_integers([(0, [], 3, 4)], 2) == (0, [])
+    assert _dense_sum([(p, 1, 1)], 0) == p
+    assert _dense_sum([(p, 1, -1)], 2) == -p.shift(2)
+    assert _dense_sum([(p, 1, 0)], 0).is_zero()
     # [2][3] p + [3][2] (-p) and [r][-n] p + [r][n] p cancel to zero
-    assert sum_times_quantum_integers([(p, 2, 3), (-p, 3, 2)], 1).is_zero()
-    assert sum_times_quantum_integers([(p, 4, -5), (p, 4, 5)], 0).is_zero()
-    # [2][2] = [3] + [1], so [2][2] p - [3] p leaves p and no zero coefficient behind
-    got = sum_times_quantum_integers([(p, 2, 2), (-p, 1, 3)], 0)
-    assert got == p
-    assert 0 not in got._t.values()
+    assert _dense_sum([(p, 2, 3), (-p, 3, 2)], 1).is_zero()
+    assert _dense_sum([(p, 4, -5), (p, 4, 5)], 0).is_zero()
+    # [2][2] = [3] + [1], so [2][2] p - [3] p leaves p, trimmed at both ends
+    assert _dense_sum([(p, 2, 2), (-p, 1, 3)], 0) == p
+    # [3] - (q^-2 + q^2) cancels at both ends and leaves the middle
+    assert dense_sum_times_quantum_integers([(0, [1], 3, 1), (-2, [-1, 0, -1], 1, 1)], 0) == (
+        0,
+        [1],
+    )
+    # [1][1] on q^0 and on q^1 lands in two parity classes
+    with pytest.raises(ValueError):
+        dense_sum_times_quantum_integers([(0, [1], 1, 1), (1, [1], 1, 1)], 0)
 
 
 def test_laurent_operators():

@@ -221,11 +221,26 @@ def _partition_of(hw):
     return tuple(reversed(parts))
 
 
+def _flip(hw, word):
+    """The word under the diagram flip i -> n + 1 - i of A_n, n = len(hw)."""
+    return tuple(len(hw) + 1 - i for i in word)
+
+
+def _unit_inversions(w):
+    """N(w): the places s < t with w_s = w_t + 1."""
+    return sum(1 for s, t in itertools.combinations(range(len(w)), 2) if w[s] == w[t] + 1)
+
+
 def test_gram_entry_is_symmetric_on_the_module_family():
     # the 69 dominant highest weights of rank 1-4 with Weyl dimension <= 30, and every
     # root content in the box [0, lambda_1] whose weight space has at most 12 words;
     # gram_entry memoizes one order of each pair, so the two orders are compared on the
-    # recursion itself
+    # recursion itself.  Each pair is also held to the ungrouped recursion at hw, and
+    # flipped at the dual weight hw[::-1]: gram_entry reads one of the two off the
+    # other's memo entry, the reference computes both.  The memo keeps each entry as
+    # one coefficient list two degrees apart, which holds because the exponents of
+    # <F_u v, F_w v> are f(u) + N(w) mod 2, N(w) = #{s < t : w_s = w_t + 1}: that is
+    # read off the reference too
     family = [(m,) for m in range(30)]
     for rank in range(2, 5):
         for hw in itertools.product(range(8), repeat=rank):
@@ -233,17 +248,45 @@ def test_gram_entry_is_symmetric_on_the_module_family():
                 family.append(hw)
     assert len(family) == 69
     pairs = 0
+    memo = {}
     for hw in family:
+        dual = hw[::-1]
         top = _partition_of(hw)[0]
         for beta in itertools.product(range(top + 1), repeat=len(hw)):
             words = weight_words(beta)
             if not any(beta) or len(words) > 12:
                 continue
+            parities = {u: set() for u in words}
             for u, w in itertools.product(words, repeat=2):
                 assert _gram_entry(hw, u, w) == _gram_entry(hw, w, u), (hw, u, w)
-                assert gram_entry(hw, u, w) == gram_entry(hw, w, u), (hw, u, w)
+                got = gram_entry(hw, u, w)
+                assert got == gram_entry(hw, w, u), (hw, u, w)
+                assert got == _ungrouped_gram(hw, u, w, memo.setdefault(hw, {})), (hw, u, w)
+                fu, fw = _flip(hw, u), _flip(hw, w)
+                want = _ungrouped_gram(dual, fu, fw, memo.setdefault(dual, {}))
+                assert gram_entry(dual, fu, fw) == want == got, (hw, u, w)
+                parities[u] |= {(e - _unit_inversions(w)) % 2 for e, _ in want.items()}
                 pairs += 1
+            assert all(len(p) <= 1 for p in parities.values()), (hw, beta)
     assert pairs == 19552
+
+
+def test_the_dual_weight_reads_the_same_memo_entries():
+    # V(hw) and V(hw[::-1]) share their memo entries through the diagram flip, in
+    # either order of first use
+    for hw, beta in [((2, 1), (2, 1)), ((1, 0, 2), (1, 2, 1)), ((3, 1, 0, 1), (1, 1, 1, 1))]:
+        dual, rbeta = hw[::-1], beta[::-1]
+        for first, second in [((hw, beta), (dual, rbeta)), ((dual, rbeta), (hw, beta))]:
+            _gram_entry.cache_clear()
+            g1 = shapovalov_gram(*first)
+            misses = _gram_entry.cache_info().misses
+            assert misses > 0
+            g2 = shapovalov_gram(*second)
+            assert _gram_entry.cache_info().misses == misses, (first, second)
+            flipped = [_flip(hw, w) for w in g1.labels]
+            index = {w: a for a, w in enumerate(g2.labels)}
+            for (a, u), (b, w) in itertools.product(enumerate(flipped), repeat=2):
+                assert g1.entries[a][b] == g2.entries[index[u]][index[w]], (first, u, w)
 
 
 def test_gram_entry_rejects_letters_outside_the_rank():
@@ -289,12 +332,19 @@ def test_build_grams_are_the_form_on_the_basis_words():
 def test_build_pairs_each_unordered_candidate_pair_once(monkeypatch):
     hw = (2, 1)
     calls = []
+    depth = [0]
 
     def counted(*args):
-        calls.append(args)
-        return gram_entry(*args)
+        # only the memo reads of a Gram cell, not the recursion under them
+        if not depth[0]:
+            calls.append(args)
+        depth[0] += 1
+        try:
+            return _gram_entry(*args)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(uqmod, "gram_entry", counted)
+    monkeypatch.setattr(uqmod, "_gram_entry", counted)
     mod = build_irreducible(hw)
     # the candidates of a weight space are the words u + (i,), u a basis word of the
     # layer before; the last layer has no successor
