@@ -3,10 +3,45 @@
 from fractions import Fraction
 
 
-class Partition:
+class _Value:
+    """A value held as one tuple, in the slot `_v` that each subclass also names publicly.
+
+    It equals only a value of its own class with an equal tuple, hashes as (class name,
+    tuple), reads as a sequence over the tuple and writes it to JSON as a list.
+    """
+
+    __slots__ = ("_v",)
+
+    def __init__(self, values):
+        self._v = tuple(int(v) for v in values)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._v == other._v
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._v))
+
+    def __iter__(self):
+        return iter(self._v)
+
+    def __len__(self):
+        return len(self._v)
+
+    def __getitem__(self, i):
+        return self._v[i]
+
+    def to_json(self):
+        return list(self._v)
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._v}"
+
+
+class Partition(_Value):
     """A weakly decreasing tuple of nonnegative ints; trailing zeros are significant parts."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
+    parts = _Value._v
 
     def __init__(self, parts):
         parts = tuple(int(p) for p in parts)
@@ -32,99 +67,33 @@ class Partition:
         new[row - 1] -= 1
         return Partition(new)
 
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(("Partition", self.parts))
-
     def __lt__(self, other):
         return self.parts < other.parts
 
-    def __iter__(self):
-        return iter(self.parts)
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def to_json(self):
-        return list(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
-
-
-class SlWeight:
+class SlWeight(_Value):
     """An integral weight in the fundamental-weight basis; dominant iff all entries >= 0."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(int(e) for e in entries)
+    __slots__ = ()
+    entries = _Value._v
 
     @property
     def rank(self):
         return len(self.entries)
 
-    def __eq__(self, other):
-        return isinstance(other, SlWeight) and self.entries == other.entries
 
-    def __hash__(self):
-        return hash(("SlWeight", self.entries))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def to_json(self):
-        return list(self.entries)
-
-    def __repr__(self):
-        return f"SlWeight{self.entries}"
-
-
-class GlWeight:
+class GlWeight(_Value):
     """An integer vector in the epsilon basis."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(int(e) for e in entries)
-
-    def __eq__(self, other):
-        return isinstance(other, GlWeight) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(("GlWeight", self.entries))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def to_json(self):
-        return list(self.entries)
-
-    def __repr__(self):
-        return f"GlWeight{self.entries}"
+    __slots__ = ()
+    entries = _Value._v
 
 
-class XiSequence:
+class XiSequence(_Value):
     """A sequence of 1-based row indices, applied left to right as single box removals."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
+    rows = _Value._v
 
     def __init__(self, rows):
         rows = tuple(int(r) for r in rows)
@@ -141,32 +110,13 @@ class XiSequence:
             return False
         return True
 
-    def __eq__(self, other):
-        return isinstance(other, XiSequence) and self.rows == other.rows
 
-    def __hash__(self):
-        return hash(("XiSequence", self.rows))
+class GTPattern(_Value):
+    """A triangular array of interlacing partition layers, largest on top; a sequence
+    of its layers."""
 
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def to_json(self):
-        return list(self.rows)
-
-    def __repr__(self):
-        return f"XiSequence{self.rows}"
-
-
-class GTPattern:
-    """A triangular array of interlacing partition layers, largest on top."""
-
-    __slots__ = ("layers",)
+    __slots__ = ()
+    layers = _Value._v
 
     def __init__(self, layers):
         layers = tuple(tuple(int(v) for v in layer) for layer in layers)
@@ -191,20 +141,11 @@ class GTPattern:
         """The layer with j parts (1-based from the bottom)."""
         return self.layers[len(self.layers) - j]
 
-    def __eq__(self, other):
-        return isinstance(other, GTPattern) and self.layers == other.layers
-
-    def __hash__(self):
-        return hash(("GTPattern", self.layers))
-
     def __lt__(self, other):
         return self.layers < other.layers
 
     def to_json(self):
         return [list(layer) for layer in self.layers]
-
-    def __repr__(self):
-        return f"GTPattern{self.layers}"
 
 
 class CartanA:

@@ -814,15 +814,15 @@ def _defect(weight, seq):
     return sum(w * b for w, b in zip(weight, beta)) - sum(b * b for b in beta) + links
 
 
-@functools.cache
 def _symmetry_range(weight, bottom, top):
     """dmin and 2d - dmin: R^Lambda_beta is graded symmetric, so the Hom piece between two
     idempotents of one content, and any quotient of it, lies in these degrees.
 
-    Cached: `gdim_hom` asks once per pair it sweeps (the classes' least representatives
-    in sorted order, at a self-dual weight the lesser of that pair and its Dynkin flip's,
-    so once per flip orbit of unordered class pairs), and `_tilde_gdim_zero` and
-    `gt_orthogonality_reach` once per pattern pair."""
+    Not cached, as a memo would seldom be read back: `gdim_hom` asks once per pair it
+    sweeps (the classes' least representatives in sorted order, at a self-dual weight the
+    lesser of that pair and its Dynkin flip's, so once per flip orbit of unordered class
+    pairs), and `_tilde_gdim_zero` and `gt_orthogonality_reach` once per pattern pair.
+    The permutations it scans are cached (`_compatible_perms`)."""
     dmin = min(cd for _, _, cd in _compatible_perms(bottom, top))
     return dmin, 2 * _defect(weight, bottom) - dmin
 

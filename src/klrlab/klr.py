@@ -509,21 +509,23 @@ def inv_r3(labels, rank=None):
     """Both sides of the crossing-inversion identity on a braid-adjacent triple.
 
     Accepts (i,i,j) or (x,y,y) with the distinct labels adjacent; returns the plain
-    idempotent and the two-term crossing element, whose normal forms agree.
+    idempotent and the two-term crossing element, whose normal forms agree.  The terms
+    are the ones `factor_general` opens such a triple with (`_split_invr3` or its mirror
+    at q = 1), each the word of its right ops then its left ops.
     """
     lab = tuple(int(x) for x in labels)
     a, b, c = lab
     if rank is None:
         rank = max(lab)
     if a == b and abs(a - c) == 1:
-        t1 = KLRWord(rank, lab, (("cross", 1), ("cross", 2), ("cross", 2), ("cross", 1), ("dot", 2)))
-        t2 = KLRWord(rank, lab, (("dot", 1), ("cross", 1), ("cross", 2), ("cross", 2), ("cross", 1)))
-        return idempotent(rank, lab), KLRElement(rank, {t1: 1, t2: -1})
-    if b == c and abs(a - b) == 1:
-        t1 = KLRWord(rank, lab, (("cross", 2), ("cross", 1), ("cross", 1), ("cross", 2), ("dot", 2)))
-        t2 = KLRWord(rank, lab, (("dot", 3), ("cross", 2), ("cross", 1), ("cross", 1), ("cross", 2)))
-        return idempotent(rank, lab), KLRElement(rank, {t1: 1, t2: -1})
-    raise ValueError(f"labels {lab} are not a braid-adjacent triple of either handed form")
+        split = _split_invr3
+    elif b == c and abs(a - b) == 1:
+        split = _split_invr3_mirror
+    else:
+        raise ValueError(f"labels {lab} are not a braid-adjacent triple of either handed form")
+    terms = split((1, (), lab, ()), 1)
+    rhs = {KLRWord(rank, lab, rops + lops): coeff for coeff, lops, _, rops in terms}
+    return idempotent(rank, lab), KLRElement(rank, rhs)
 
 
 def decorate_regions(x, start):

@@ -295,3 +295,48 @@ def test_json_roundtrips():
     assert GTPattern(p.to_json()) == p
     assert p.to_json() == [[2, 1, 0], [2, 1], [1]]
 
+
+
+VALUES = [
+    (Partition, "parts", (2, 1, 0), "Partition(2, 1, 0)"),
+    (SlWeight, "entries", (1, 1), "SlWeight(1, 1)"),
+    (GlWeight, "entries", (2, 1, 0), "GlWeight(2, 1, 0)"),
+    (XiSequence, "rows", (1, 2), "XiSequence(1, 2)"),
+    (GTPattern, "layers", ((2, 1, 0), (2, 1), (1,)), "GTPattern((2, 1, 0), (2, 1), (1,))"),
+]
+
+
+@pytest.mark.parametrize("cls, attr, tup, text", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_type_protocol(cls, attr, tup, text):
+    """Each value type equals only its own class with an equal tuple, hashes as
+    (class name, tuple), and reads and writes its tuple the same way."""
+    x = cls(tup)
+    assert x == cls(tup) and not x != cls(tup)
+    assert hash(x) == hash(cls(tup)) == hash((cls.__name__, tup))
+    assert getattr(x, attr) == tup and type(getattr(x, attr)) is tuple
+    assert repr(x) == text
+    want_json = [list(layer) for layer in tup] if cls is GTPattern else list(tup)
+    assert x.to_json() == want_json
+    assert x != tup and x != list(tup)
+    if cls is not GTPattern:
+        assert list(x) == list(tup) and len(x) == len(tup) and x[0] == tup[0] and x[-1] == tup[-1]
+
+
+def test_value_types_holding_one_tuple_differ_by_class():
+    flat = [cls((2, 1, 1)) for cls in (Partition, SlWeight, GlWeight, XiSequence)]
+    for x, y in itertools.combinations(flat, 2):
+        assert x != y and y != x
+    assert len(set(flat)) == len(flat)
+
+
+def test_single_part_values_repr_as_one_tuples():
+    assert repr(Partition((3,))) == "Partition(3,)"
+    assert repr(SlWeight(())) == "SlWeight()"
+    assert repr(XiSequence(())) == "XiSequence()"
+    assert repr(GTPattern(((1,),))) == "GTPattern((1,),)"
+
+
+def test_gt_pattern_reads_as_a_sequence_of_layers():
+    p = GTPattern(((2, 1, 0), (2, 1), (1,)))
+    assert list(p) == [(2, 1, 0), (2, 1), (1,)] and len(p) == 3
+    assert p[0] == p.top.parts and p[-1] == p.layer(1) == (1,)

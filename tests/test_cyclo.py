@@ -1197,7 +1197,6 @@ def test_cleared_caches_recompute_the_same_answers():
         _compatible_perms,
         _coset_middles,
         _basis_keys,
-        _symmetry_range,
         klr._lexmin,
         klr._nf_cross,
         uqmod._gram_entry,

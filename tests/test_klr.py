@@ -285,14 +285,26 @@ def test_rewrite_steps_are_the_nf_cross_misses():
 
 
 def test_inv_r3_all_triples_ranks_2_to_4():
+    x, d = "cross", "dot"
+    left_words = (
+        (((x, 1), (x, 2), (x, 2), (x, 1), (d, 2)), 1),
+        (((d, 1), (x, 1), (x, 2), (x, 2), (x, 1)), -1),
+    )
+    right_words = (
+        (((x, 2), (x, 1), (x, 1), (x, 2), (d, 2)), 1),
+        (((d, 3), (x, 2), (x, 1), (x, 1), (x, 2)), -1),
+    )
     checked = 0
     for n in (2, 3, 4):
         for i in range(1, n + 1):
             for j in (i - 1, i + 1):
                 if not 1 <= j <= n:
                     continue
-                for labels in ((i, i, j), (j, i, i)):
+                for labels, words in (((i, i, j), left_words), ((j, i, i), right_words)):
                     lhs, rhs = inv_r3(labels, n)
+                    assert list(rhs.terms.items()) == [
+                        (KLRWord(n, labels, ops), c) for ops, c in words
+                    ]
                     assert normal_form(lhs) == normal_form(rhs) == idempotent(n, labels)
                     assert all(w.degree() == 0 for w in rhs.terms)
                     checked += 1
