@@ -260,12 +260,18 @@ class CycContext:
     """A cyclotomic quotient workspace: the partition, the degree cap, and warm memo state.
 
     `states` holds one echelon per swept Hom piece, keyed (bottom, top, degree), and
-    `sources` its spanning rows; `reps` each sequence's commutation-class representative
-    and that of its Dynkin flip (`_ClassReps`); `homs` each `gdim_hom` answer
-    (poly, status), keyed by the pair as given and by the pair swept (the sorted class
-    representatives, or at a self-dual weight the lesser of those and of their Dynkin
-    flip's image).  An answer depends only on the pair, and the degree cap is fixed per
-    context, so a pair asked again is one lookup.
+    `sources` its spanning rows.  `reps` (`_ClassReps`) holds one record per label
+    sequence `gdim_hom` has been asked about, keyed by the sequence as given and made on
+    first sight: (content, rep, flipped), its sorted int labels, its commutation-class
+    representative, and that of its Dynkin flip at a self-dual weight (else None).  A
+    sequence is converted and range-checked once, when its record is made.  `homs` holds
+    each `gdim_hom` answer (poly, status), keyed by the pair as given and by the pair
+    swept (the sorted class representatives, or at a self-dual weight the lesser of
+    those and of their Dynkin flip's image).  An answer depends only on the pair, and
+    the degree cap is fixed per context, so a pair asked again is one lookup, and a new
+    pair whose swept pair was answered is three: its two records and the swept pair.
+    `children` holds the quotient context one branching step down (`branch_context`),
+    keyed by the xi rows, built on first use with the same degree cap.
     """
 
     def __init__(self, lam, degree_cap):
@@ -372,26 +378,33 @@ def _new_state(ctx, bottom, top, delta):
 
 
 class _ClassReps(dict):
-    """{sequence: (rep, flipped)} for one context, filled on first lookup.  rep is the
-    sequence's `_class_rep`, or the sequence itself at rank <= 2, where no two labels
+    """{sequence: (content, rep, flipped)} for one context, keyed by the sequence as
+    given and filled on first lookup.  content is the sorted tuple of its int labels; rep
+    is its `_class_rep`, or the int labels themselves at rank <= 2, where no two labels
     are distant; flipped is the same for the sequence's Dynkin flip i -> n + 1 - i when
-    the weight is self-dual and the rank at least 2, and None otherwise."""
+    the weight is self-dual and the rank at least 2, and None otherwise.  A label outside
+    1..rank raises ValueError and stores no record."""
 
-    __slots__ = ("distant", "top")
+    __slots__ = ("rank", "distant", "top")
 
     def __init__(self, rank, weight):
         super().__init__()
+        self.rank = rank
         self.distant = rank >= 3
         self.top = rank + 1 if rank >= 2 and weight == weight[::-1] else None
 
     def __missing__(self, seq):
-        rep = _class_rep(seq) if self.distant else seq
+        labels = tuple(map(int, seq))
+        content = tuple(sorted(labels))
+        if content and (content[0] < 1 or content[-1] > self.rank):
+            raise ValueError(f"strand labels must lie in 1..{self.rank}")
+        rep = _class_rep(labels) if self.distant else labels
         flipped = None
         if self.top is not None:
-            flipped = tuple(self.top - v for v in seq)
+            flipped = tuple(self.top - v for v in labels)
             if self.distant:
                 flipped = _class_rep(flipped)
-        self[seq] = out = (rep, flipped)
+        self[seq] = out = (content, rep, flipped)
         return out
 
 
@@ -601,7 +614,12 @@ def gdim_hom(e, e2, ctx):
     echelons.
 
     Each answer is kept in `ctx.homs` under the pair as given and the pair swept.  A
-    pair asked again is one lookup; it was validated when its answer was stored.
+    pair asked again is one lookup; it was validated when its answer was stored.  A new
+    pair reads each sequence's record in `ctx.reps` (content, class rep and flip rep,
+    made and range-checked the first time the sequence is seen), compares the contents,
+    and looks up the swept pair (`_swept_pair`): a pair on an orbit already swept costs
+    those three lookups and no conversion, sort or range check.  Lists are turned into
+    tuples first, and their answers are kept under the swept pair only.
     """
     given = (e, e2)
     try:
@@ -609,19 +627,16 @@ def gdim_hom(e, e2, ctx):
     except TypeError:
         # unhashable labels (lists) are looked up and stored as the swept pair only
         given = hit = None
+        e, e2 = tuple(e), tuple(e2)
     if hit is not None:
         return hit
-    e = tuple(map(int, e))
-    e2 = tuple(map(int, e2))
-    s, s2 = sorted(e), sorted(e2)
-    if s and (s[0] < 1 or s[-1] > ctx.rank) or s2 and (s2[0] < 1 or s2[-1] > ctx.rank):
-        raise ValueError(f"strand labels must lie in 1..{ctx.rank}")
-    if s != s2:
+    rec, rec2 = ctx.reps[e], ctx.reps[e2]
+    if rec[0] != rec2[0]:
         return LaurentPoly.zero(), EXACT
     if ctx.rank == 0:
         # no label lies in 1..0, so e = e2 = ()
         return LaurentPoly.one(), EXACT
-    pair = _swept_pair(ctx, e, e2)
+    pair = _swept_pair(rec, rec2)
     hit = ctx.homs.get(pair)
     if hit is None:
         hit = ctx.homs[pair] = _sweep(ctx, *pair)
@@ -630,11 +645,12 @@ def gdim_hom(e, e2, ctx):
     return hit
 
 
-def _swept_pair(ctx, e, e2):
-    """The pair `gdim_hom` sweeps for (e, e2): the sorted pair of class representatives,
-    or at a self-dual weight the lesser of it and the same pair built for the Dynkin
-    flip's image (sigma e, sigma e2)."""
-    (r, f), (r2, f2) = ctx.reps[e], ctx.reps[e2]
+def _swept_pair(rec, rec2):
+    """The pair `gdim_hom` sweeps for two sequences' `ctx.reps` records: the sorted pair
+    of class representatives, or at a self-dual weight the lesser of it and the same pair
+    built for the Dynkin flip's image (sigma e, sigma e2)."""
+    _, r, f = rec
+    _, r2, f2 = rec2
     pair = (r, r2) if r <= r2 else (r2, r)
     if f is not None:
         pair = min(pair, (f, f2) if f <= f2 else (f2, f))
