@@ -164,21 +164,23 @@ def _window_sums(c, m):
     """The coefficients of c times 1 + x + ... + x^(m-1): running sums of m entries of c."""
     if m == 1:
         return c
-    return list(accumulate(map(_sub, c + [0] * (m - 1), [0] * m + c)))
+    pad = [0] * (m - 1)
+    return list(accumulate(map(_sub, [*c, *pad], [0, *pad, *c])))
 
 
 def dense_sum_times_quantum_integers(terms, shift):
     """q^shift times the sum of [r][n] * p over the terms (lo, c, r, n), r >= 1, on
     coefficient lists of one exponent-parity class.
 
-    Each p is given as p = sum_k c[k] q^(lo + 2k), with c[0] and c[-1] nonzero (an empty
-    c is p = 0), and the result comes back the same way, as (lo, c) with c trimmed and
-    (0, []) for zero.  [m] is a run of |m| monomials two degrees apart, so on such a list
-    it is a running sum of |m| consecutive entries that lowers lo by |m| - 1, and [-m] is
-    its negation.  All the products must lie in one parity class, as they do when lo + r
-    + n has one parity over the terms (else ValueError); each is then added slice-wise
-    into one list.  A single nonzero term needs no sum: its product with [r][n] keeps
-    its end coefficients, up to sign, so it is already trimmed."""
+    Each p is given as p = sum_k c[k] q^(lo + 2k), c a list or tuple with c[0] and c[-1]
+    nonzero (an empty c is p = 0), and the result comes back the same way, as (lo, c)
+    with c trimmed and (0, []) for zero.  [m] is a run of |m| monomials two degrees
+    apart, so on such a list it is a running sum of |m| consecutive entries that lowers
+    lo by |m| - 1, and [-m] is its negation.  All the products must lie in one parity
+    class, as they do when lo + r + n has one parity over the terms (else ValueError);
+    each is then added slice-wise into one list.  A single nonzero term needs no sum:
+    its product with [r][n] keeps its end coefficients, up to sign, so it is already
+    trimmed; with r = n = 1 its own c comes back, a tuple if it was given as one."""
     parts = []
     for lo, c, r, n in terms:
         if c and n:
@@ -482,9 +484,33 @@ def row_echelon_bareiss(rows):
     return pivots, m
 
 
+def _dense_entry(e):
+    """An elimination entry (see `_evaluate`) as (lo, step, c), the polynomial
+    sum_j c[j] q^(lo + step j)."""
+    if isinstance(e, tuple):
+        return e[0], 2, e[1]
+    if isinstance(e, LaurentPoly):
+        lo, c = _to_dense(e)
+        return lo, 1, c
+    return 0, 1, (e,) if e else ()
+
+
+def _nonzero(e):
+    """Whether an elimination entry (see `_evaluate`) is nonzero; a pair (lo, ()) is
+    zero, though a nonempty tuple."""
+    return bool(e[1] if isinstance(e, tuple) else e)
+
+
 def _evaluate(rows, spare_bits=0):
-    """A matrix of ints and LaurentPolys as an integer matrix at a certified point q = 2^k;
+    """A matrix of elimination entries as an integer matrix at a certified point q = 2^k;
     returns (integer rows, k).
+
+    An elimination entry is an int, a LaurentPoly or a pair (lo, c), c a tuple: the
+    polynomial sum_j c[j] q^(lo + 2j) of one exponent-parity class (zero when c is
+    empty, whatever lo is).  The pair is the form in which `uqmod._gram_entry` keeps
+    each entry of the contravariant form, once; Gram ranks, basis pivots and solves
+    read it here as it is, and `uqmod` builds a LaurentPoly from it only where its
+    public API hands one out.
 
     Each row is first multiplied by the power of q that makes it polynomial, a unit, so
     no minor changes whether it is zero.  With B = prod_i max(1, sum_j |M_ij|_1), every
@@ -493,14 +519,17 @@ def _evaluate(rows, spare_bits=0):
     So with k = B.bit_length() + spare_bits no minor vanishes at 2^k unless it is 0,
     and `row_echelon_bareiss`, whose intermediate entries are all minors, takes the
     same row swaps and pivot columns on the integers as on the polynomials."""
-    terms = []
+    dense = []
     bound = 1
     for row in rows:
-        ts = [e._t if isinstance(e, LaurentPoly) else {0: e} if e else {} for e in row]
-        bound *= max(1, sum([abs(c) for t in ts for c in t.values()]))
-        terms.append((min([e for t in ts for e in t], default=0), ts))
+        ds = [_dense_entry(e) for e in row]
+        bound *= max(1, sum([sum(map(abs, c)) for _, _, c in ds]))
+        dense.append((min([lo for lo, _, c in ds if c], default=0), ds))
     k = bound.bit_length() + spare_bits
-    return [[sum([c << k * (e - lo) for e, c in t.items()]) for t in ts] for lo, ts in terms], k
+    return [
+        [sum([v << k * (lo - low + step * j) for j, v in enumerate(c) if v]) for lo, step, c in ds]
+        for low, ds in dense
+    ], k
 
 
 def at_power_of_two(p, k, shift=0):
@@ -529,22 +558,24 @@ def _from_balanced_digits(v, k):
 
 
 def pivot_columns(rows):
-    """The pivot columns of the row echelon form of a matrix of ints and LaurentPolys.
+    """The pivot columns of the row echelon form of a matrix of elimination entries
+    (ints, LaurentPolys and (lo, c) pairs, `_evaluate`).
 
     A single row's pivot is its first nonzero column; a larger matrix is eliminated
     over Z at a certified point (`_evaluate`)."""
     if len(rows) == 1:
-        return next(([c] for c, e in enumerate(rows[0]) if e), [])
+        return next(([c] for c, e in enumerate(rows[0]) if _nonzero(e)), [])
     return row_echelon_bareiss(_evaluate(rows)[0])[0]
 
 
 def matrix_rank(rows):
-    """Rank of an integer or Laurent-polynomial matrix."""
+    """Rank of a matrix of elimination entries (`_evaluate`)."""
     return len(pivot_columns(rows))
 
 
 def solve_linear(matrix, rhs):
-    """Solve M x = rhs exactly, as a list of LaurentFracs; entries are ints or LaurentPolys.
+    """Solve M x = rhs exactly, as a list of LaurentFracs; entries are elimination entries
+    (ints, LaurentPolys and (lo, c) pairs, `_evaluate`).
 
     `[M | rhs]` is evaluated one bit past its certified point q = 2^k (`_evaluate`) and
     eliminated over Z; M is nonsingular iff the pivots are the columns 0..n-1 (else
@@ -554,8 +585,11 @@ def solve_linear(matrix, rhs):
     back from its balanced base-2^k digits.  A single equation m x = b with m nonzero
     is x = b/m, without the evaluation."""
     n = len(matrix)
-    if n == 1 and matrix[0][0]:
-        return [LaurentFrac(rhs[0], matrix[0][0])]
+    if n == 1 and _nonzero(matrix[0][0]):
+        b, m = (
+            from_parity_class(*e) if isinstance(e, tuple) else e for e in (rhs[0], matrix[0][0])
+        )
+        return [LaurentFrac(b, m)]
     rows, k = _evaluate([list(row) + [b] for row, b in zip(matrix, rhs)], 1)
     pivots, m = row_echelon_bareiss(rows)
     if pivots != list(range(n)):

@@ -109,16 +109,21 @@ def gram_entry(hw, u, w):
     if sorted(u) != sorted(w):
         return LaurentPoly.zero()
     hw, pair = _dual(hw, (tuple(u), tuple(w)))
-    return _gram_entry(hw, *sorted(pair))[2]
+    return from_parity_class(*_gram_entry(hw, *sorted(pair)))
 
 
-_ONE = (0, [1], LaurentPoly.one())
+_ONE = (0, (1,))
 
 
 @functools.cache
 def _gram_entry(hw, u, w):
-    """`gram_entry` on tuples of equal content with letters in 1..len(hw), as (lo, c, p):
-    the form p = sum_k c[k] q^(lo + 2k), with c[0] and c[-1] nonzero (p = 0 has c = []).
+    """`gram_entry` on tuples of equal content with letters in 1..len(hw), as (lo, c):
+    the form sum_k c[k] q^(lo + 2k), c a tuple with c[0] and c[-1] nonzero (the form 0
+    has c = ()).  The memo keeps each entry once, in this form, which the elimination
+    of `qint` reads as it is; a LaurentPoly is built only where the public API hands
+    one out (`gram_entry`, `ShapovalovGram.entries`, `HighestWeightModule.grams`).
+    Entries can share a tuple: an entry whose one term has r = 1 and a - r + 1 = 1
+    holds its child's c at another lo, which is safe because a tuple cannot change.
 
     Deleting any letter of a maximal run of r copies of i in w leaves the same word, and
     the s-th letter of the run meets the weight entry a - 2s, a being the entry at the
@@ -144,12 +149,12 @@ def _gram_entry(hw, u, w):
     terms = []
     for start, r, a in runs:
         if a != r - 1:
-            lo, c, _ = _gram_entry(hw, head, w[:start] + w[start + 1 :])
+            lo, c = _gram_entry(hw, head, w[:start] + w[start + 1 :])
             terms.append((lo, c, r, a - r + 1))
     # end is the i-th weight entry of F_w v, the same as of F_u v; F_head v has one
     # letter i fewer, so its entry is end + 2, and the shift is that entry less 1
     lo, c = dense_sum_times_quantum_integers(terms, end + 1)
-    return lo, c, from_parity_class(lo, c)
+    return lo, tuple(c)
 
 
 def weight_words(beta):
@@ -177,8 +182,8 @@ def weight_words(beta):
 
 
 def _gram_rows(hw, words):
-    """The form on sorted monomial words of one content, as rows: one memo read per
-    unordered pair, mirrored below the diagonal.
+    """The form on sorted monomial words of one content, as rows of `_gram_entry`'s
+    (lo, c) pairs: one memo read per unordered pair, mirrored below the diagonal.
 
     The words share their letters, so one word is checked.  On the dual weight
     (`_dual`) the flip reverses the lexicographic order of words of one length, so the
@@ -188,7 +193,7 @@ def _gram_rows(hw, words):
     flipped = keys is not words
     if flipped:
         keys.reverse()
-    upper = [[_gram_entry(key_hw, u, w)[2] for w in keys[a:]] for a, u in enumerate(keys)]
+    upper = [[_gram_entry(key_hw, u, w) for w in keys[a:]] for a, u in enumerate(keys)]
     rows = [[upper[b][a - b] for b in range(a)] + upper[a] for a in range(len(keys))]
     if flipped:
         rows = [row[::-1] for row in reversed(rows)]
@@ -196,18 +201,30 @@ def _gram_rows(hw, words):
 
 
 class ShapovalovGram:
-    """The contravariant pairing matrix on the monomial spanning set of one root content."""
+    """The contravariant pairing matrix on the monomial spanning set of one root content.
 
-    __slots__ = ("hw", "beta", "labels", "entries")
+    It holds the rows of (lo, c) pairs of `_gram_rows`, on which `rank` eliminates;
+    `entries`, the matrix of LaurentPolys, is built from them on first access and kept."""
 
-    def __init__(self, hw, beta, labels, entries):
+    __slots__ = ("hw", "beta", "labels", "_rows", "_entries")
+
+    def __init__(self, hw, beta, labels, rows):
         self.hw = tuple(hw)
         self.beta = tuple(beta)
         self.labels = tuple(labels)
-        self.entries = tuple(tuple(row) for row in entries)
+        self._rows = rows
+        self._entries = None
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            self._entries = tuple(
+                tuple(from_parity_class(lo, c) for lo, c in row) for row in self._rows
+            )
+        return self._entries
 
     def rank(self):
-        return matrix_rank([list(row) for row in self.entries])
+        return matrix_rank(self._rows)
 
     def to_json(self):
         return {
@@ -308,7 +325,8 @@ def build_irreducible(hw):
             pivots = pivot_columns(gram)
             if not pivots:
                 continue
-            sub = grams_by_weight[wt] = [[gram[a][b] for b in pivots] for a in pivots]
+            sub = [[gram[a][b] for b in pivots] for a in pivots]
+            grams_by_weight[wt] = [[from_parity_class(lo, c) for lo, c in row] for row in sub]
             base = len(index)
             pos = {j: base + r for r, j in enumerate(pivots)}
             for j, w in enumerate(words):

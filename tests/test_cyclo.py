@@ -442,8 +442,9 @@ def test_reduced_basis_keys_have_the_rank_of_the_form():
     keys under `_reduce_vec` span a space of the dimension that the contravariant form
     gives that degree: an oracle for the remainder path that uses none of the ideal rows.
     Every same-content pair of up to 3 strands at (2,1,0) and (3,1,0), and of up to 4
-    strands at (2,0,0), (1,1,0) and (2,2,0)."""
-    families = [((2, 1, 0), 3), ((3, 1, 0), 3), ((2, 0, 0), 4), ((1, 1, 0), 4), ((2, 2, 0), 4)]
+    strands at (2,0,0), (1,1,0), (2,2,0), (3,0,0), (1,1,0,0), (2,1,0,0) and (3,0)."""
+    families = [((2, 1, 0), 3), ((3, 1, 0), 3), ((2, 0, 0), 4), ((1, 1, 0), 4), ((2, 2, 0), 4),
+                ((3, 0, 0), 4), ((1, 1, 0, 0), 4), ((2, 1, 0, 0), 4), ((3, 0), 4)]
     pairs = total = 0
     for lam, strands in families:
         lam = Partition(lam)
@@ -462,7 +463,7 @@ def test_reduced_basis_keys_have_the_rank_of_the_form():
             assert got == want, (lam, u, w)
             pairs += 1
             total += sum(got.values())
-    assert (pairs, total) == (350, 260)
+    assert (pairs, total) == (1952, 1167)
 
 
 def test_block_decomposition_zero_across_contents():

@@ -398,7 +398,65 @@ def test_degenerate_systems():
 
 
 def _as_poly(e):
+    if isinstance(e, tuple):
+        return from_parity_class(*e)
     return LaurentPoly({0: e}) if isinstance(e, int) else e
+
+
+def _rand_pair(rng):
+    """A (lo, c) entry of one exponent-parity class, c trimmed; zero, with any lo, one
+    time in four."""
+    if rng.random() < 0.25:
+        return rng.randint(-4, 4), ()
+    c = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+    c[0], c[-1] = c[0] or 1, c[-1] or -1
+    return rng.randint(-6, 6), tuple(c)
+
+
+def _mixed(rng, e):
+    """The entry e as a pair, as its LaurentPoly, or, one time in five, as an int."""
+    kind = rng.randrange(5)
+    return rng.randint(-3, 3) if kind == 4 else e if kind < 2 else _as_poly(e)
+
+
+def _solution(matrix, rhs):
+    try:
+        return solve_linear(matrix, rhs)
+    except ArithmeticError:
+        return "singular"
+
+
+def test_elimination_reads_parity_class_pairs_as_their_polynomials():
+    # pivot_columns, matrix_rank and solve_linear answer the same on (lo, c) pairs as on
+    # the LaurentPolys they stand for; (lo, ()) is zero, though a nonempty tuple
+    assert pivot_columns([[(3, ())]]) == [] and _solution([[(3, ())]], [(0, (1,))]) == "singular"
+    assert pivot_columns([[(0, ()), (-2, ()), 0, LaurentPoly()]]) == []
+    assert pivot_columns([[(0, ()), (-2, (1, 2)), 0]]) == [1]
+    # [2] x = [2]^2
+    assert solve_linear([[(-1, (1, 1))]], [(-2, (1, 2, 1))]) == [LaurentFrac(quantum_integer(2))]
+    rng = random.Random(29)
+    seen = set()
+    for trial in range(600):
+        n = rng.randint(1, 4)
+        m = n if trial % 2 else rng.randint(1, 4)
+        rows = [[_rand_pair(rng) for _ in range(m)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:
+            # q^s times another row keeps the matrix rank-deficient
+            s = rng.randint(-2, 2)
+            rows[-1] = [(lo + s, c) for lo, c in rows[0]]
+        rhs = [_rand_pair(rng) for _ in range(n)]
+        if trial >= 400:
+            rows = [[_mixed(rng, e) for e in row] for row in rows]
+            rhs = [_mixed(rng, e) for e in rhs]
+        polys = [[_as_poly(e) for e in row] for row in rows]
+        want = pivot_columns(polys)
+        assert pivot_columns(rows) == want, rows
+        assert matrix_rank(rows) == len(want), rows
+        if n == m:
+            got = _solution(rows, rhs)
+            assert got == _solution(polys, [_as_poly(b) for b in rhs]), (rows, rhs)
+            seen.add((n, got == "singular"))
+    assert seen == {(n, singular) for n in range(1, 5) for singular in (False, True)}
 
 
 def _leibniz_det(rows):

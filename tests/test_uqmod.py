@@ -169,7 +169,9 @@ def test_gram_bar_symmetry_per_weight_space():
 
 def test_sl2_string_norms_match_the_closed_form():
     # <F^k v, F^k v> = q^{k(m-k)} [k]! [m][m-1]...[m-k+1] on the highest weight m
-    # up to m = 29, the longest string of the benchmark's module family
+    # up to m = 29, the longest string of the benchmark's module family: read by
+    # gram_entry, and as the 1 x 1 Gram matrix of root content (k,), whose LaurentPoly
+    # entries are built from the memo's coefficient tuples on first access
     for m in range(30):
         prod = LaurentPoly.one()
         for k in range(m + 3):
@@ -177,6 +179,10 @@ def test_sl2_string_norms_match_the_closed_form():
                 prod = prod * quantum_integer(k) * quantum_integer(m - k + 1)
             want = prod.shift(k * (m - k)) if k <= m else LaurentPoly.zero()
             assert gram_entry((m,), (1,) * k, (1,) * k) == want, (m, k)
+            g = shapovalov_gram((m,), (k,))
+            assert g.rank() == (k <= m), (m, k)
+            assert g.to_json()["entries"] == [[{"num": want.to_pairs(), "den": [[0, 1]]}]]
+            assert g.entries == ((want,),) and g.entries is g.entries, (m, k)
 
 
 def _ungrouped_gram(hw, u, w, memo):
@@ -258,6 +264,8 @@ def test_gram_entry_is_symmetric_on_the_module_family():
                 continue
             parities = {u: set() for u in words}
             for u, w in itertools.product(words, repeat=2):
+                lo, c = _gram_entry(hw, u, w)
+                assert type(lo) is int and type(c) is tuple, (hw, u, w)
                 assert _gram_entry(hw, u, w) == _gram_entry(hw, w, u), (hw, u, w)
                 got = gram_entry(hw, u, w)
                 assert got == gram_entry(hw, w, u), (hw, u, w)
