@@ -561,11 +561,29 @@ def pivot_columns(rows):
     """The pivot columns of the row echelon form of a matrix of elimination entries
     (ints, LaurentPolys and (lo, c) pairs, `_evaluate`).
 
-    A single row's pivot is its first nonzero column; a larger matrix is eliminated
-    over Z at a certified point (`_evaluate`)."""
-    if len(rows) == 1:
-        return next(([c] for c, e in enumerate(rows[0]) if _nonzero(e)), [])
-    return row_echelon_bareiss(_evaluate(rows)[0])[0]
+    The matrix is pruned before it is evaluated: a row that is zero or equal to an
+    earlier row is dropped, and then so is a column that is zero or equal to an earlier
+    column.  The dropped rows leave the row space as it is, and so every dependency
+    among the columns.  A dropped column is zero or a copy of a column before it, so it
+    never raises the rank of the columns to its left and is never a pivot; nor does it
+    change the rank of any set of the other columns.  So the pivots of the pruned
+    matrix, mapped back to the columns they came from, are the pivots of the matrix.
+    Entries are compared as they are given, so an int and the pair that stands for the
+    same polynomial count as different, which only prunes less.
+
+    A single row's pivot is its first nonzero column.  A larger matrix is eliminated
+    over Z at a point 2^k that `_evaluate` certifies for the pruned matrix itself: its
+    minors are minors of the matrix, and its bound is a product over fewer rows."""
+    if len(rows) > 1:
+        rows = list(dict.fromkeys(tuple(row) for row in rows if any(map(_nonzero, row))))
+    if len(rows) < 2:
+        return next(([c] for c, e in enumerate(rows[0]) if _nonzero(e)), []) if rows else []
+    cols = {}
+    for c, col in enumerate(zip(*rows)):
+        if any(map(_nonzero, col)):
+            cols.setdefault(col, c)
+    index = list(cols.values())
+    return [index[c] for c in row_echelon_bareiss(_evaluate(list(zip(*cols)))[0])[0]]
 
 
 def matrix_rank(rows):

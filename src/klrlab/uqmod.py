@@ -160,43 +160,48 @@ def _gram_entry(hw, u, w):
 def weight_words(beta):
     """All monomial words with the given simple root content, in lexicographic order.
 
-    Each place tries the letters in increasing order among those not used up, so the
-    words come out sorted; the place of a last letter is forced."""
+    The first word has its letters in increasing order, and each next one is its
+    lexicographic successor (Knuth's Algorithm L): find the last place j whose letter is
+    less than the one after it, swap in the last later letter greater than it, and
+    reverse the tail after j.  A word with no such place is the last."""
     counts = [int(b) for b in beta]
     if any(b < 0 for b in counts):
         raise ValueError("negative root multiplicity")
-    out = []
-
-    def grow(prefix, left):
-        if left < 2:
-            out.append(prefix + (counts.index(1) + 1,) if left else prefix)
-            return
-        for i, b in enumerate(counts):
-            if b:
-                counts[i] = b - 1
-                grow(prefix + (i + 1,), left - 1)
-                counts[i] = b
-
-    grow((), sum(counts))
-    return out
+    a = [i for i, b in enumerate(counts, 1) for _ in range(b)]
+    out = [tuple(a)]
+    n = len(a)
+    while True:
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return out
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[:j:-1]
+        out.append(tuple(a))
 
 
 def _gram_rows(hw, words):
     """The form on sorted monomial words of one content, as rows of `_gram_entry`'s
-    (lo, c) pairs: one memo read per unordered pair, mirrored below the diagonal.
+    (lo, c) pairs: one memo read per unordered pair, which fills both triangles.
 
-    The words share their letters, so one word is checked.  On the dual weight
-    (`_dual`) the flip reverses the lexicographic order of words of one length, so the
-    flipped words are read backwards, and so are the rows and their entries."""
+    The words share their letters, so one word is checked.  The memo keys each pair in
+    sorted order.  On the dual weight (`_dual`) the flip reverses the lexicographic
+    order of words of one length, so there the later word of a pair is the smaller."""
     _check_letters(len(hw), words[0])
     key_hw, keys = _dual(hw, words)
     flipped = keys is not words
-    if flipped:
-        keys.reverse()
-    upper = [[_gram_entry(key_hw, u, w) for w in keys[a:]] for a, u in enumerate(keys)]
-    rows = [[upper[b][a - b] for b in range(a)] + upper[a] for a in range(len(keys))]
-    if flipped:
-        rows = [row[::-1] for row in reversed(rows)]
+    n = len(keys)
+    rows = [[None] * n for _ in range(n)]
+    for a, u in enumerate(keys):
+        row = rows[a]
+        for b in range(a, n):
+            w = keys[b]
+            e = _gram_entry(key_hw, w, u) if flipped else _gram_entry(key_hw, u, w)
+            row[b] = rows[b][a] = e
     return rows
 
 
@@ -266,18 +271,30 @@ def exhaustion_depth(hw):
 class HighestWeightModule:
     """An irreducible highest weight module with basis tagged by F-monomial words."""
 
-    def __init__(self, rank, hw, basis, weights, e_mats, f_mats, grams):
+    def __init__(self, rank, hw, basis, weights, e_mats, f_mats, gram_rows):
         self.rank = rank
         self.hw = tuple(hw)
         self.basis = tuple(basis)
         self.weights = tuple(weights)
         self.e_mats = e_mats
         self.f_mats = f_mats
-        self.grams = grams
+        self._gram_rows = gram_rows
+        self._grams = None
         spaces = {}
         for idx, wt in enumerate(self.weights):
             spaces.setdefault(wt, []).append(idx)
         self.weight_spaces = spaces
+
+    @property
+    def grams(self):
+        """The Gram matrix of each weight space on its basis words, as LaurentPolys; built
+        on first access from the (lo, c) rows of `_gram_entry` that the build keeps."""
+        if self._grams is None:
+            self._grams = {
+                wt: [[from_parity_class(lo, c) for lo, c in row] for row in rows]
+                for wt, rows in self._gram_rows.items()
+            }
+        return self._grams
 
     def dim(self):
         return len(self.basis)
@@ -309,7 +326,7 @@ def build_irreducible(hw):
         raise ValueError("need at least one node")
     index = {(): 0}  # basis word -> basis index, in basis order
     weights = [hw]
-    grams_by_weight = {hw: [[LaurentPoly.one()]]}
+    gram_rows = {hw: [[_ONE]]}
     f_cols = {}  # (i, col) -> the nonzero coordinates {row: value} of F_i on basis vector col
     layer = [()]
     for _ in range(exhaustion_depth(hw)):
@@ -325,8 +342,7 @@ def build_irreducible(hw):
             pivots = pivot_columns(gram)
             if not pivots:
                 continue
-            sub = [[gram[a][b] for b in pivots] for a in pivots]
-            grams_by_weight[wt] = [[from_parity_class(lo, c) for lo, c in row] for row in sub]
+            sub = gram_rows[wt] = [[gram[a][b] for b in pivots] for a in pivots]
             base = len(index)
             pos = {j: base + r for r, j in enumerate(pivots)}
             for j, w in enumerate(words):
@@ -363,7 +379,7 @@ def build_irreducible(hw):
         for (i, col), coords in cols.items():
             for row, val in coords.items():
                 mats[i][row][col] = val
-    return HighestWeightModule(rank, hw, list(index), weights, e_mats, f_mats, grams_by_weight)
+    return HighestWeightModule(rank, hw, list(index), weights, e_mats, f_mats, gram_rows)
 
 
 def _cleared(mat):

@@ -498,18 +498,34 @@ mixed_entry = st.one_of(st.integers(min_value=-3, max_value=3), small_laurent)
 @st.composite
 def small_matrices(draw):
     """Matrices of 1-4 rows and columns, of ints and small Laurent polynomials; half of
-    them are products A B with an inner dimension below the row count, so rank-deficient."""
+    them are products A B with an inner dimension below the row count, so rank-deficient.
+    Two in three then gain one more row or column, at a drawn place: a copy of one they
+    have, or a zero one, which `pivot_columns` prunes before it eliminates."""
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=1, max_value=4))
     if draw(st.booleans()):
-        return [[draw(mixed_entry) for _ in range(m)] for _ in range(n)]
-    k = draw(st.integers(min_value=0, max_value=n - 1))
-    a = [[draw(mixed_entry) for _ in range(k)] for _ in range(n)]
-    b = [[draw(mixed_entry) for _ in range(m)] for _ in range(k)]
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), LaurentPoly.zero()) for j in range(m)]
-        for i in range(n)
-    ]
+        rows = [[draw(mixed_entry) for _ in range(m)] for _ in range(n)]
+    else:
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        a = [[draw(mixed_entry) for _ in range(k)] for _ in range(n)]
+        b = [[draw(mixed_entry) for _ in range(m)] for _ in range(k)]
+        rows = [
+            [sum((a[i][t] * b[t][j] for t in range(k)), LaurentPoly.zero()) for j in range(m)]
+            for i in range(n)
+        ]
+    extra = draw(st.sampled_from([None, "copy", "zero"]))
+    if extra is None:
+        return rows
+    # a column is added as a row of the transpose
+    columns = draw(st.booleans())
+    if columns:
+        rows = [list(col) for col in zip(*rows)]
+    if extra == "copy":
+        new = list(draw(st.sampled_from(rows)))
+    else:
+        new = [draw(st.sampled_from([0, LaurentPoly.zero()])) for _ in rows[0]]
+    rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), new)
+    return [list(row) for row in zip(*rows)] if columns else rows
 
 
 @given(small_matrices())

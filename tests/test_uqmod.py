@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -11,7 +12,14 @@ import pytest
 import symbolic_relations
 from klrlab import uqmod
 from klrlab.combi import CartanA, Partition, weight_of_partition, weyl_dim
-from klrlab.qint import LaurentFrac, LaurentPoly, quantum_integer
+from klrlab.qint import (
+    LaurentFrac,
+    LaurentPoly,
+    _evaluate,
+    pivot_columns,
+    quantum_integer,
+    row_echelon_bareiss,
+)
 from klrlab.uqmod import (
     HighestWeightModule,
     _gram_entry,
@@ -487,6 +495,42 @@ def test_verify_relations_holds_on_the_module_family():
     assert len(MODULE_FAMILY) == 69
     for hw in MODULE_FAMILY:
         assert verify_relations(build_irreducible(hw)), hw
+
+
+def _family_gram_betas(hw):
+    """The root contents of the `module` benchmark's Gram ops at hw: at most 12 monomial
+    words, and the gl weight inside the box [0, lambda_1]."""
+    lam = _partition_of(hw)
+    out = []
+    for beta in itertools.product(range(lam[0] + 1), repeat=len(hw)):
+        words = math.factorial(sum(beta)) // math.prod(map(math.factorial, beta))
+        ext = (0,) + beta + (0,)
+        gl = [lam[j] - ext[j + 1] + ext[j] for j in range(len(lam))]
+        if any(beta) and words <= 12 and all(0 <= v <= lam[0] for v in gl):
+            out.append(beta)
+    return out
+
+
+def test_pruned_pivots_match_the_unpruned_elimination():
+    # pivot_columns drops zero and repeated rows and columns before it eliminates; it is
+    # held to the elimination of the whole Gram at every Gram op of the `module`
+    # benchmark and at the Grams of height <= 5 at (1,2,1), where many rows are zero or
+    # repeat a row before them
+    family = [shapovalov_gram(hw, beta) for hw in MODULE_FAMILY for beta in _family_gram_betas(hw)]
+    small = [
+        shapovalov_gram((1, 2, 1), beta)
+        for beta in itertools.product(range(6), repeat=3)
+        if 0 < sum(beta) <= 5
+    ]
+    assert (len(family), len(small)) == (737, 55)
+    zero = repeated = 0
+    for g in family:
+        nonzero = [tuple(row) for row in g._rows if any(c for _, c in row)]
+        zero += len(nonzero) < len(g._rows)
+        repeated += len(set(nonzero)) < len(nonzero)
+    assert (zero, repeated) == (190, 53)
+    for g in family + small:
+        assert pivot_columns(g._rows) == row_echelon_bareiss(_evaluate(g._rows)[0])[0], g
 
 
 def test_verify_relations_agrees_with_the_symbolic_check_on_mutants():
