@@ -1,5 +1,6 @@
 """Partitions, weights, box-removal sequences, Gelfand-Tsetlin patterns, and branching counts."""
 
+import itertools
 from fractions import Fraction
 
 
@@ -181,8 +182,10 @@ def weight_of_partition(lam):
 def interlacing_set(lam, boxes="all"):
     """Partitions with one fewer part squeezed between consecutive parts of lam.
 
-    boxes='all' gives every such partition; an integer k keeps those with |lam| - |mu| = k.
-    Listed in lexicographically descending order.
+    Part i of mu ranges over [lam_{i+1}, lam_i] independently of the other parts, since
+    lam_{i+1} bounds part i from below and part i+1 from above; so the set is a product of
+    intervals.  boxes='all' gives every such partition; an integer k keeps those with
+    |lam| - |mu| = k.  Listed in lexicographically descending order.
     """
     if isinstance(lam, (list, tuple)):
         lam = Partition(lam)
@@ -190,24 +193,15 @@ def interlacing_set(lam, boxes="all"):
         boxes = int(boxes)
         if boxes < 0:
             raise ValueError("box count must be >= 0")
-    out = []
-
-    def grow(prefix, i):
-        if i == lam.part_count - 1:
-            mu = Partition(prefix)
-            if boxes == "all" or lam.size() - mu.size() == boxes:
-                out.append(mu)
-            return
-        hi = lam[i]
-        lo = lam[i + 1]
-        if prefix:
-            hi = min(hi, prefix[-1])
-        for v in range(hi, lo - 1, -1):
-            grow(prefix + [v], i + 1)
-
-    if lam.part_count >= 1:
-        grow([], 0)
-    return out
+    if not lam.part_count:
+        return []
+    size = lam.size()
+    intervals = [range(hi, lo - 1, -1) for hi, lo in zip(lam, lam[1:])]
+    return [
+        Partition(mu)
+        for mu in itertools.product(*intervals)
+        if boxes == "all" or size - sum(mu) == boxes
+    ]
 
 
 def xi_apply(xi, target):
@@ -240,36 +234,37 @@ def xi_apply(xi, target):
     raise TypeError(f"cannot apply removal sequence to {type(target).__name__}")
 
 
+def _step_rows(upper, lower):
+    """The weakly increasing removal sequence from partition upper to lower, which has at
+    most as many parts and is padded with zeros: row r repeated upper_r - lower_r times."""
+    lower = tuple(lower) + (0,) * (len(upper) - len(lower))
+    return tuple(r for r, (a, b) in enumerate(zip(upper, lower), 1) for _ in range(a - b))
+
+
 def enumerate_dominant(lam, k):
     """Weakly increasing removal sequences of length k that stay inside the partition order
-    and empty the last row, listed lexicographically descending."""
+    and empty the last row, listed lexicographically descending.
+
+    A sequence that removes c_r boxes from row r stays a partition iff
+    lam_r - c_r >= lam_{r+1}, so the sequences are the steps from lam to the mu of
+    interlacing_set(lam + (0,), k) with last part 0, and descending mu gives descending
+    sequences."""
     if isinstance(lam, (list, tuple)):
         lam = Partition(lam)
     if k < 0:
         raise ValueError("sequence length must be >= 0")
-    n1 = lam.part_count
-    out = []
-
-    def grow(seq, cur, minrow):
-        if len(seq) == k:
-            if cur[n1 - 1] == 0:
-                out.append(XiSequence(seq))
-            return
-        for r in range(n1, minrow - 1, -1):
-            if cur[r - 1] == 0:
-                continue
-            try:
-                nxt = cur.remove_box(r)
-            except ValueError:
-                continue
-            grow(seq + [r], nxt, r)
-
-    grow([], lam, 1)
-    return out
+    if not lam.part_count:
+        raise ValueError("partition needs at least one part")
+    return [
+        XiSequence(_step_rows(lam, mu))
+        for mu in interlacing_set(Partition(lam.parts + (0,)), k)
+        if mu[-1] == 0
+    ]
 
 
 def enumerate_gt_patterns(lam):
-    """All interlacing towers below a partition, in lexicographically descending order."""
+    """All interlacing towers below a partition, in lexicographically descending order:
+    the depth-first walk over each layer's descending interlacing set lists them so."""
     if isinstance(lam, (list, tuple)):
         lam = Partition(lam)
     out = []
@@ -282,7 +277,6 @@ def enumerate_gt_patterns(lam):
             grow(layers + [mu.parts], mu)
 
     grow([lam.parts], lam)
-    out.sort(reverse=True)
     return out
 
 

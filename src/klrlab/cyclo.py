@@ -7,7 +7,7 @@ import itertools
 from fractions import Fraction
 from operator import add
 
-from .combi import GlWeight, Partition, XiSequence, enumerate_gt_patterns
+from .combi import GlWeight, Partition, XiSequence, _step_rows, enumerate_gt_patterns
 from .combi import weight_of_partition, xi_apply
 from .klr import (
     KLRElement,
@@ -783,16 +783,7 @@ def gt_idempotent(s):
     seq = []
     spans = []
     for j in range(m, 1, -1):
-        upper = s.layer(j)
-        lower = s.layer(j - 1)
-        xi = []
-        for i in range(1, j):
-            r = upper[i - 1] - lower[i - 1]
-            xi.extend([i] * r)
-        xi.extend([j] * upper[j - 1])
-        xi = tuple(sorted(xi))
-        if xi and not XiSequence(xi).is_dominant(Partition(upper)):
-            raise ValueError(f"layer {j} removals {xi} not dominant for {upper}")
+        xi = _step_rows(s.layer(j), s.layer(j - 1))
         start = len(seq)
         for i in xi:
             seq.extend(range(i, j))

@@ -253,19 +253,11 @@ def shapovalov_gram(hw, beta):
 
 
 def exhaustion_depth(hw):
-    """Height of the weight drop from highest to lowest weight: the last nonzero layer."""
-    m = len(hw) + 1
-    lam = []
-    acc = 0
-    for x in reversed(hw):
-        acc += x
-        lam.append(acc)
-    lam = list(reversed(lam)) + [0]
-    total = 0
-    for j in range(1, m):
-        for t in range(1, j + 1):
-            total += lam[t - 1] - lam[m - t]
-    return total
+    """Height of the weight drop from highest to lowest weight: the last nonzero layer.
+
+    It is <lambda, 2 rho^vee>, which is linear in hw: sum over k of k (n + 1 - k) hw_k."""
+    n = len(hw)
+    return sum(k * (n + 1 - k) * x for k, x in enumerate(hw, 1))
 
 
 class HighestWeightModule:
@@ -355,8 +347,6 @@ def build_irreducible(hw):
             index.update((words[j], row) for j, row in pos.items())
             layer.extend(words[j] for j in pivots)
             weights.extend([wt] * len(pivots))
-        if not layer:
-            break
     e_cols = {}
     for u, col in index.items():
         if not u:

@@ -191,6 +191,12 @@ def test_enumerate_dominant_examples():
     assert {x.rows for x in enumerate_dominant(lam2, 2)} == {(1, 3)}
 
 
+def test_enumerate_dominant_needs_a_part():
+    for k in (0, 1, 2):
+        with pytest.raises(ValueError, match="partition needs at least one part"):
+            enumerate_dominant(Partition(()), k)
+
+
 def test_enumerate_dominant_bijection_with_interlacing():
     for parts in (2, 3, 4):
         for lam in partitions_with(parts, 6):
@@ -233,18 +239,40 @@ def test_gt_weight():
             assert sum(gt_weight(p)) == lam.size()
 
 
+XS = (2, 3, 5, 7, 11)
+
+
 def test_character_identity_against_alternant():
-    xs = (2, 3, 5)
-    for lam in partitions_with(3, 5):
-        want = schur_value(lam.parts, xs)
-        got = Fraction(0)
-        for p in enumerate_gt_patterns(lam):
-            w = gt_weight(p)
-            term = Fraction(1)
-            for x, e in zip(xs, w):
-                term *= Fraction(x) ** e
-            got += term
-        assert got == want, lam
+    """The pattern character sum_p x^gt_weight(p) is the bialternant s_lambda(x) (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.3), on 2-5 parts of size <= 6."""
+    for parts in (2, 3, 4, 5):
+        xs = XS[:parts]
+        for lam in partitions_with(parts, 6):
+            want = schur_value(lam.parts, xs)
+            got = Fraction(0)
+            for p in enumerate_gt_patterns(lam):
+                w = gt_weight(p)
+                term = Fraction(1)
+                for x, e in zip(xs, w):
+                    term *= Fraction(x) ** e
+                got += term
+            assert got == want, lam
+
+
+def test_branching_identity_against_alternant():
+    """s_lambda(x) = sum over mu in interlacing_set(lambda) of s_mu(x') x_n^(|lambda| - |mu|),
+    x' being x without its last entry x_n: the branching rule as a character identity."""
+    count = 0
+    for parts in (2, 3, 4, 5):
+        xs = XS[:parts]
+        for lam in partitions_with(parts, 6):
+            got = sum(
+                schur_value(mu.parts, xs[:-1]) * Fraction(xs[-1]) ** (lam.size() - mu.size())
+                for mu in interlacing_set(lam)
+            )
+            assert got == schur_value(lam.parts, xs), lam
+            count += 1
+    assert count == 95
 
 
 def test_weyl_dim_values():
