@@ -2,6 +2,7 @@
 
 from itertools import accumulate, count
 from math import gcd as _int_gcd
+from math import prod
 from operator import add as _add
 from operator import sub as _sub
 
@@ -380,6 +381,10 @@ class LaurentFrac:
     def is_zero(self):
         return self.num.is_zero()
 
+    def is_polynomial(self):
+        """Whether the denominator is 1."""
+        return self.den._t == _UNIT
+
     def __bool__(self):
         return bool(self.num)
 
@@ -501,7 +506,28 @@ def _nonzero(e):
     return bool(e[1] if isinstance(e, tuple) else e)
 
 
-def _evaluate(rows, spare_bits=0):
+def _prepare(rows):
+    """A matrix of elimination entries (see `_evaluate`) made ready to evaluate: each
+    row as (low, entries), every entry in `_dense_entry`'s form and low the least
+    exponent of the row, together with the l1 norms of the entries, as rows."""
+    prepared = []
+    norms = []
+    for row in rows:
+        ds = [_dense_entry(e) for e in row]
+        prepared.append((min([lo for lo, _, c in ds if c], default=0), ds))
+        norms.append([sum(map(abs, c)) for _, _, c in ds])
+    return prepared, norms
+
+
+def _at(prepared, k):
+    """The rows of `_prepare`, each times q^-low, as integer rows at q = 2^k."""
+    return [
+        [sum([v << k * (lo - low + step * j) for j, v in enumerate(c) if v]) for lo, step, c in ds]
+        for low, ds in prepared
+    ]
+
+
+def _evaluate(rows, spare_bits=0, width=None):
     """A matrix of elimination entries as an integer matrix at a certified point q = 2^k;
     returns (integer rows, k).
 
@@ -518,18 +544,21 @@ def _evaluate(rows, spare_bits=0):
     integer polynomial has no root of modulus at least its l1 norm (Cauchy's bound).
     So with k = B.bit_length() + spare_bits no minor vanishes at 2^k unless it is 0,
     and `row_echelon_bareiss`, whose intermediate entries are all minors, takes the
-    same row swaps and pivot columns on the integers as on the polynomials."""
-    dense = []
+    same row swaps and pivot columns on the integers as on the polynomials.
+
+    With `width`, the columns from `width` on are right-hand sides, and only the minors
+    that border the first `width` columns with at most one of them need the bound
+    (`solve_linear`): a row's factor of B is then the sum of its first `width` norms
+    plus the largest of the rest.  `pivot_columns` sizes its own point by the minors it
+    reads, on the same preparation (`_prepare`, `_at`)."""
+    prepared, norms = _prepare(rows)
     bound = 1
-    for row in rows:
-        ds = [_dense_entry(e) for e in row]
-        bound *= max(1, sum([sum(map(abs, c)) for _, _, c in ds]))
-        dense.append((min([lo for lo, _, c in ds if c], default=0), ds))
+    for row in norms:
+        if width is not None:
+            row = row[:width] + [max(row[width:], default=0)]
+        bound *= max(1, sum(row))
     k = bound.bit_length() + spare_bits
-    return [
-        [sum([v << k * (lo - low + step * j) for j, v in enumerate(c) if v]) for lo, step, c in ds]
-        for low, ds in dense
-    ], k
+    return _at(prepared, k), k
 
 
 def at_power_of_two(p, k, shift=0):
@@ -538,6 +567,18 @@ def at_power_of_two(p, k, shift=0):
     Two Laurent polynomials of that form are equal iff their values are, once 2^k
     exceeds the l1 norm of their difference (Cauchy's bound, as in `_evaluate`)."""
     return sum([c << k * (e + shift) for e, c in p._t.items()])
+
+
+def quantum_integer_at(n, k, shift=0):
+    """The integer value of q^shift [n] at q = 2^k, k >= 1, for shift >= |n| - 1 (where it
+    is a polynomial), without building [n]: with m = |n|, q^shift [m] is
+    q^(shift - m + 1) (1 + q^2 + ... + q^(2m - 2)), a geometric sum, so its value is
+    (2^(2km) - 1) / (2^(2k) - 1) times 2^(k (shift - m + 1)), and [-m] = -[m]."""
+    m = abs(n)
+    if not m:
+        return 0
+    v = (((1 << 2 * k * m) - 1) // ((1 << 2 * k) - 1)) << k * (shift - m + 1)
+    return v if n > 0 else -v
 
 
 def _from_balanced_digits(v, k):
@@ -571,9 +612,24 @@ def pivot_columns(rows):
     Entries are compared as they are given, so an int and the pair that stands for the
     same polynomial count as different, which only prunes less.
 
-    A single row's pivot is its first nonzero column.  A larger matrix is eliminated
-    over Z at a point 2^k that `_evaluate` certifies for the pruned matrix itself: its
-    minors are minors of the matrix, and its bound is a product over fewer rows."""
+    A single row's pivot is its first nonzero column.  A larger matrix, n = min(rows,
+    columns) after pruning, is eliminated over Z at a point 2^k sized to the minors the
+    elimination reads.  With each row made polynomial as in `_evaluate`, let B_s be the
+    lesser of the products of the s largest row l1 sums and of the s largest column l1
+    sums (of all of them, where there are fewer); no pruned row or column is zero, so
+    each sum is at least 1.  Expanding
+    either product bounds the l1 norm of every minor of size at most s, so no such
+    minor vanishes at 2^k, k >= B_s.bit_length(), unless it is 0 (Cauchy's bound).
+    Once t pivots are found, the elimination tests only (t + 1)-minors (Bareiss: its
+    entries are the minors that border the pivot rows and columns with one more), so a
+    run that finds r pivots has tested minors of size at most s = min(r + 1, n) and no
+    larger.  If B_s.bit_length() <= k, each of those tests answers as it does on the
+    polynomials, so the polynomial elimination takes the same row swaps and pivots and
+    the run is certified; otherwise the matrix is eliminated again at
+    k = B_s.bit_length().  k starts at B_2.bit_length() and only grows, so this ends,
+    at the latest at B_n, which is at most `_evaluate`'s bound.  A run with a pivot in
+    every column is certified at once: its pivots are nonzero minors, so the columns
+    are independent on the polynomials as well."""
     if len(rows) > 1:
         rows = list(dict.fromkeys(tuple(row) for row in rows if any(map(_nonzero, row))))
     if len(rows) < 2:
@@ -583,7 +639,21 @@ def pivot_columns(rows):
         if any(map(_nonzero, col)):
             cols.setdefault(col, c)
     index = list(cols.values())
-    return [index[c] for c in row_echelon_bareiss(_evaluate(list(zip(*cols)))[0])[0]]
+    prepared, norms = _prepare(list(zip(*cols)))
+    row_sums = sorted(map(sum, norms), reverse=True)
+    col_sums = sorted(map(sum, zip(*norms)), reverse=True)
+    n = min(len(row_sums), len(col_sums))
+    k = min(prod(row_sums[:2]), prod(col_sums[:2])).bit_length()
+    while True:
+        pivots = row_echelon_bareiss(_at(prepared, k))[0]
+        if len(pivots) == len(index):
+            break
+        s = min(len(pivots) + 1, n)
+        need = min(prod(row_sums[:s]), prod(col_sums[:s])).bit_length()
+        if need <= k:
+            break
+        k = need
+    return [index[c] for c in pivots]
 
 
 def matrix_rank(rows):
@@ -591,31 +661,38 @@ def matrix_rank(rows):
     return len(pivot_columns(rows))
 
 
-def solve_linear(matrix, rhs):
-    """Solve M x = rhs exactly, as a list of LaurentFracs; entries are elimination entries
-    (ints, LaurentPolys and (lo, c) pairs, `_evaluate`).
+def solve_linear(matrix, *columns):
+    """Solve M x = b exactly for each right-hand side b in `columns`; returns one list of
+    LaurentFracs per column.  Entries are elimination entries (ints, LaurentPolys and
+    (lo, c) pairs, `_evaluate`).
 
-    `[M | rhs]` is evaluated one bit past its certified point q = 2^k (`_evaluate`) and
-    eliminated over Z; M is nonsingular iff the pivots are the columns 0..n-1 (else
-    ArithmeticError).  Back substitution without fractions gives P_i = D x_i, with D
-    the last pivot.  D and P_i are det M and det M_i (Cramer's rule), minors of
-    [M | rhs] whose coefficients lie below 2^(k-1) in absolute value, so each is read
-    back from its balanced base-2^k digits.  A single equation m x = b with m nonzero
-    is x = b/m, without the evaluation."""
+    `[M | b_1 | b_2 | ...]` is evaluated one bit past the point q = 2^k that certifies
+    every minor bordering M with at most one right-hand side (`_evaluate` with
+    `width`), and eliminated over Z once; M is nonsingular iff the pivots are the
+    columns 0..n-1 (else ArithmeticError).  Back substitution without fractions gives
+    P_i = D x_i for each column, with D the last pivot.  D and P_i are det M and
+    det M_i (Cramer's rule), minors of [M | b] whose coefficients lie below 2^(k-1) in
+    absolute value, so each is read back from its balanced base-2^k digits.  A single
+    equation m x = b with m nonzero is x = b/m, without the evaluation."""
     n = len(matrix)
     if n == 1 and _nonzero(matrix[0][0]):
-        b, m = (
-            from_parity_class(*e) if isinstance(e, tuple) else e for e in (rhs[0], matrix[0][0])
+        m, *bs = (
+            from_parity_class(*e) if isinstance(e, tuple) else e
+            for e in (matrix[0][0], *(col[0] for col in columns))
         )
-        return [LaurentFrac(b, m)]
-    rows, k = _evaluate([list(row) + [b] for row, b in zip(matrix, rhs)], 1)
+        return [[LaurentFrac(b, m)] for b in bs]
+    augmented = [list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)]
+    rows, k = _evaluate(augmented, 1, n)
     pivots, m = row_echelon_bareiss(rows)
     if pivots != list(range(n)):
         raise ArithmeticError("singular system")
     d = m[n - 1][n - 1] if n else 1
-    p = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = d * m[i][n] - sum(m[i][j] * p[j] for j in range(i + 1, n))
-        p[i] = _exact_div(acc, m[i][i])
     den = _from_balanced_digits(d, k)
-    return [LaurentFrac(_from_balanced_digits(v, k), den) for v in p]
+    out = []
+    for t in range(n, n + len(columns)):
+        p = [0] * n
+        for i in range(n - 1, -1, -1):
+            acc = d * m[i][t] - sum(m[i][j] * p[j] for j in range(i + 1, n))
+            p[i] = _exact_div(acc, m[i][i])
+        out.append([LaurentFrac(_from_balanced_digits(v, k), den) for v in p])
+    return out

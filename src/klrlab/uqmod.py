@@ -13,6 +13,7 @@ from .qint import (
     matrix_rank,
     pivot_columns,
     quantum_integer,
+    quantum_integer_at,
     solve_linear,
 )
 
@@ -304,12 +305,14 @@ def build_irreducible(hw):
     before, so they are the F images of that layer.  The basis of a weight space is the
     pivot columns (`pivot_columns`) of its candidates' Gram matrix.  That matrix is
     symmetric, so its sub-matrix on the pivots has full rank: it is the weight space's
-    Gram matrix.  A pivot word has unit coordinates; any other candidate solves that
-    matrix against its own Gram column, which the elimination has already seen.
+    Gram matrix.  Every pivot word has the one shared unit coordinate; the other
+    candidates of the weight space are solved against that matrix together, one
+    elimination with their Gram columns as the right-hand sides (`solve_linear`).
 
     E needs no form: E_i v = 0, and a basis word u = p + (x,) has p in the basis, so
     E_i F_u v = F_x E_i F_p v + [i = x] [wt(p)_i] F_p v, from E_i F_x - F_x E_i = [h_i]
-    on F_p v; both terms are columns already built."""
+    on F_p v; both terms are columns already built, and a unit coordinate of F_x
+    adds the coordinate of E_i F_p v as it is."""
     hw = tuple(int(x) for x in hw)
     if any(x < 0 for x in hw):
         raise ValueError("highest weight must be dominant")
@@ -320,6 +323,7 @@ def build_irreducible(hw):
     weights = [hw]
     gram_rows = {hw: [[_ONE]]}
     f_cols = {}  # (i, col) -> the nonzero coordinates {row: value} of F_i on basis vector col
+    one = LaurentFrac.one()  # the coordinate of every pivot word, shared
     layer = [()]
     for _ in range(exhaustion_depth(hw)):
         cands = {}
@@ -336,15 +340,16 @@ def build_irreducible(hw):
                 continue
             sub = gram_rows[wt] = [[gram[a][b] for b in pivots] for a in pivots]
             base = len(index)
-            pos = {j: base + r for r, j in enumerate(pivots)}
-            for j, w in enumerate(words):
-                if j in pos:
-                    coords = {pos[j]: LaurentFrac.one()}
-                else:
-                    sol = solve_linear(sub, [gram[a][j] for a in pivots])
-                    coords = {base + r: v for r, v in enumerate(sol) if not v.is_zero()}
-                f_cols[w[-1], index[w[:-1]]] = coords
-            index.update((words[j], row) for j, row in pos.items())
+            for r, j in enumerate(pivots):
+                w = words[j]
+                f_cols[w[-1], index[w[:-1]]] = {base + r: one}
+            if len(pivots) < len(words):
+                rest = [j for j in range(len(words)) if j not in pivots]
+                sols = solve_linear(sub, *[[gram[a][j] for a in pivots] for j in rest])
+                for j, sol in zip(rest, sols):
+                    w = words[j]
+                    f_cols[w[-1], index[w[:-1]]] = {base + r: v for r, v in enumerate(sol) if v}
+            index.update((words[j], base + r) for r, j in enumerate(pivots))
             layer.extend(words[j] for j in pivots)
             weights.extend([wt] * len(pivots))
     e_cols = {}
@@ -356,7 +361,8 @@ def build_irreducible(hw):
             acc = {}
             for r, val in e_cols.get((i, p), {}).items():
                 for row, fv in f_cols.get((x, r), {}).items():
-                    acc[row] = acc[row] + val * fv if row in acc else val * fv
+                    term = val if fv is one else val * fv
+                    acc[row] = acc[row] + term if row in acc else term
             if i == x:
                 h = quantum_integer(weights[p][i - 1])
                 acc[p] = acc[p] + h if p in acc else LaurentFrac(h)
@@ -375,7 +381,7 @@ def build_irreducible(hw):
 def _cleared(mat):
     """A dense matrix of LaurentFracs without denominators: (D, rows), with D the lcm of
     its entries' denominators and rows {row: {col: LaurentPoly}} its nonzero entries
-    times D.
+    times D.  When every denominator is 1, so is D, and no denominator is collected.
 
     Each lcm step multiplies D by what a denominator d adds to it, d / gcd(D, d), the
     denominator of LaurentFrac(D, d); once D is the lcm, LaurentFrac(D, d) is D / d."""
@@ -387,13 +393,13 @@ def _cleared(mat):
         nonzero = {c: v for c, v in enumerate(row) if v is not zero and v}
         if nonzero:
             rows[r] = nonzero
+    if all([v.is_polynomial() for row in rows.values() for v in row.values()]):
+        return LaurentPoly.one(), {r: {c: v.num for c, v in row.items()} for r, row in rows.items()}
     dens = {v.den for row in rows.values() for v in row.values()}
     lcm = LaurentPoly.one()
     for d in dens:
         if d != 1:
             lcm = lcm * LaurentFrac(lcm, d).den
-    if lcm == 1:
-        return lcm, {r: {c: v.num for c, v in row.items()} for r, row in rows.items()}
     cofactor = {d: LaurentFrac(lcm, d).num for d in dens}
     return lcm, {
         r: {c: v.num * cofactor[v.den] for c, v in row.items()} for r, row in rows.items()
@@ -479,6 +485,12 @@ def verify_relations(module):
     of integer matrices.  2^k exceeds the l1 norm of the difference of its two sides,
     and a nonzero integer polynomial has no root of modulus at least its l1 norm, so
     the integer identity holds iff the polynomial one does.
+
+    The grading is checked against each column's target weight, computed once.  The
+    value of q^shift [n] at 2^k is its geometric sum (`qint.quantum_integer_at`).  On
+    each side, X_i X_j is formed once per ordered pair and X_i^2 once per i: a distant
+    pair compares X_i X_j with X_j X_i once, and Serre compares X_i (X_i X_j) and
+    X_j (X_i^2) with (X_i X_j) X_i.
     """
     rank = module.rank
     weights = module.weights
@@ -489,9 +501,12 @@ def verify_relations(module):
     for j in span:
         alpha = [cartan.entry(i, j) for i in span]
         for (_, rows), sign in ((e[j], 1), (f[j], -1)):
+            # the weight that a row must have for an entry in each column
+            target = [tuple([w + sign * a for w, a in zip(wt, alpha)]) for wt in weights]
             for r, row in rows.items():
+                wt = weights[r]
                 for c in row:
-                    if any(a - b != sign * s for a, b, s in zip(weights[r], weights[c], alpha)):
+                    if wt != target[c]:
                         return False
     shift_e, shift_f, k = _certificate(weights, e, f)
 
@@ -506,32 +521,32 @@ def verify_relations(module):
         scale = at_power_of_two(e[i][0], k) * at_power_of_two(f[i][0], k)
         shift = shift_e[i] + shift_f[i]
         bracket = {
-            n: scale * at_power_of_two(quantum_integer(n), k, shift)
-            for n in {wt[i - 1] for wt in weights}
+            n: scale * quantum_integer_at(n, k, shift) for n in {wt[i - 1] for wt in weights}
         }
         h = {r: {r: bracket[wt[i - 1]]} for r, wt in enumerate(weights)}
         for j in span:
             ef, fe = _product(ev[i], fv[j]), _product(fv[j], ev[i])
             if _entries(ef) != _entries(fe, h if i == j else {}):
                 return False
+    if rank == 1:
+        return True
     q = 1 << k
-    for i in span:
-        for j in span:
-            if i == j:
-                continue
-            for x, y in ((ev[i], ev[j]), (fv[i], fv[j])):
-                xy = _product(x, y)
+    for x in (ev, fv):
+        # every product of two letters, X_i X_j and X_i^2, formed once
+        xy = {(i, j): _product(x[i], x[j]) for i in span for j in span}
+        for i in span:
+            for j in span:
                 if abs(i - j) >= 2:
-                    if _entries(xy) != _entries(_product(y, x)):
+                    if i < j and _entries(xy[i, j]) != _entries(xy[j, i]):
                         return False
-                    continue
-                # the Serre relation times q: q X_i^2 X_j + q X_j X_i^2 = (q^2 + 1) X_i X_j X_i
-                outer = _entries(_product(x, xy), _product(y, _product(x, x)))
-                middle = _entries(_product(xy, x))
-                if {key: v * q for key, v in outer.items()} != {
-                    key: v * (q * q + 1) for key, v in middle.items()
-                }:
-                    return False
+                elif abs(i - j) == 1:
+                    # the Serre relation times q: q X_i^2 X_j + q X_j X_i^2 = (q^2 + 1) X_i X_j X_i
+                    outer = _entries(_product(x[i], xy[i, j]), _product(x[j], xy[i, i]))
+                    middle = _entries(_product(xy[i, j], x[i]))
+                    if {key: v * q for key, v in outer.items()} != {
+                        key: v * (q * q + 1) for key, v in middle.items()
+                    }:
+                        return False
     return True
 
 

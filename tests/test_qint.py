@@ -19,6 +19,7 @@ from klrlab.qint import (
     matrix_rank,
     pivot_columns,
     quantum_integer,
+    quantum_integer_at,
     row_echelon_bareiss,
     solve_linear,
 )
@@ -349,7 +350,7 @@ def test_solve_linear():
     q = LaurentPoly({1: 1})
     m = [[LaurentPoly.one(), q], [q, LaurentPoly.one() + q * q]]
     rhs = [quantum_integer(2), quantum_integer(3)]
-    x = solve_linear(m, rhs)
+    [x] = solve_linear(m, rhs)
     got0 = x[0] * m[0][0] + x[1] * m[0][1]
     got1 = x[0] * m[1][0] + x[1] * m[1][1]
     assert got0 == LaurentFrac(rhs[0])
@@ -380,7 +381,7 @@ def test_solve_linear_hypothesis(system):
         with pytest.raises(ArithmeticError):
             solve_linear(matrix, rhs)
         return
-    x = solve_linear(matrix, rhs)
+    [x] = solve_linear(matrix, rhs)
     for row, b in zip(matrix, rhs):
         acc = LaurentFrac.zero()
         for a, v in zip(row, x):
@@ -388,8 +389,31 @@ def test_solve_linear_hypothesis(system):
         assert acc == LaurentFrac(b)
 
 
+def test_several_right_hand_sides_solve_as_one_each():
+    # one elimination of [M | b_1 | ... | b_m] is certified for the minors that border M
+    # with one b_t, though the bound takes only the largest b_t of each row: each
+    # column's solution is the one solve_linear gives it alone, and solves the system
+    rng = random.Random(48)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        matrix = [[rand_poly(rng, span=3, nterms=3, cmax=5) for _ in range(n)] for _ in range(n)]
+        if matrix_rank(matrix) < n:
+            continue
+        # right-hand sides of very different sizes, so each row's largest differs
+        columns = [
+            [rand_poly(rng, span=4, nterms=4, cmax=rng.choice([1, 9, 400])) for _ in range(n)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        sols = solve_linear(matrix, *columns)
+        assert len(sols) == len(columns)
+        for col, x in zip(columns, sols):
+            assert solve_linear(matrix, col) == [x]
+            for row, b in zip(matrix, col):
+                assert sum((v * a for a, v in zip(row, x)), LaurentFrac.zero()) == b
+
+
 def test_degenerate_systems():
-    assert solve_linear([], []) == []
+    assert solve_linear([], []) == [[]] and solve_linear([[1]]) == []
     assert matrix_rank([]) == matrix_rank([[]]) == matrix_rank([[0, 0]]) == 0
     q = LaurentPoly({1: 1})
     for singular in ([[0]], [[1, 2], [2, 4]], [[q, q * q], [LaurentPoly.one(), q]]):
@@ -421,7 +445,8 @@ def _mixed(rng, e):
 
 def _solution(matrix, rhs):
     try:
-        return solve_linear(matrix, rhs)
+        [x] = solve_linear(matrix, rhs)
+        return x
     except ArithmeticError:
         return "singular"
 
@@ -433,7 +458,7 @@ def test_elimination_reads_parity_class_pairs_as_their_polynomials():
     assert pivot_columns([[(0, ()), (-2, ()), 0, LaurentPoly()]]) == []
     assert pivot_columns([[(0, ()), (-2, (1, 2)), 0]]) == [1]
     # [2] x = [2]^2
-    assert solve_linear([[(-1, (1, 1))]], [(-2, (1, 2, 1))]) == [LaurentFrac(quantum_integer(2))]
+    assert solve_linear([[(-1, (1, 1))]], [(-2, (1, 2, 1))]) == [[LaurentFrac(quantum_integer(2))]]
     rng = random.Random(29)
     seen = set()
     for trial in range(600):
@@ -546,14 +571,73 @@ def test_minors_that_vanish_at_a_small_power_of_two():
         for rows in cases:
             n = len(rows)
             assert pivot_columns(rows) == list(range(n)), (j, rows)
-            x = solve_linear(rows, [1] + [0] * (n - 1))
+            [x] = solve_linear(rows, [1] + [0] * (n - 1))
             for row, b in zip(rows, [1] + [0] * (n - 1)):
                 assert sum((v * a for a, v in zip(row, x)), LaurentFrac.zero()) == b
     # det M = 2^j (times q^2) reaches the bound B = 2^j + 1 of [M | rhs], so reading it
     # back needs the spare bit
     for j in range(1, 12):
         for a in (LaurentPoly({0: 1 << j}), LaurentPoly({2: 1 << j})):
-            assert solve_linear([[a, 0], [0, 1]], [-1, 0]) == [LaurentFrac(-1, a), 0]
+            assert solve_linear([[a, 0], [0, 1]], [-1, 0]) == [[LaurentFrac(-1, a), 0]]
+
+
+def _first_point_pivots(rows):
+    """The pivots of a LaurentPoly matrix with no zero or repeated row or column (so
+    nothing to prune) eliminated at the point `pivot_columns` tries first: 2^k with
+    k = B_2.bit_length(), B_2 the lesser of the products of the two largest row and
+    the two largest column l1 sums."""
+    norms = [[p.l1_norm() for p in row] for row in rows]
+    by_row = sorted((max(1, sum(row)) for row in norms), reverse=True)
+    by_col = sorted((max(1, sum(col)) for col in zip(*norms)), reverse=True)
+    k = min(by_row[0] * by_row[1], by_col[0] * by_col[1]).bit_length()
+    lows = [min(e.min_exp() for e in row if e) for row in rows]
+    values = [[at_power_of_two(p, k, -low) for p in row] for row, low in zip(rows, lows)]
+    return row_echelon_bareiss(values)[0]
+
+
+def _rank_three_product(rng):
+    """A B, with A of 5-8 rows and rank 3 and B of 3 rows and 5-8 columns.  The first
+    three rows of A are N = [[q, c1, 0], [0, 1, c2], [-c3, 0, 1]], c1, c2, c3 powers of
+    two, and the rest are sums and differences of them, so A = T N with T an integer
+    matrix.  By Cauchy-Binet every 3-minor of A B is det(T_R) det(N) det(B_C), and
+    det N is q - c1 c2 c3: at q = c1 c2 c3 every 3-minor vanishes, so the product's
+    rank there is at most 2."""
+    q, one, zero = LaurentPoly({1: 1}), LaurentPoly.one(), LaurentPoly.zero()
+    c1, c2, c3 = (1 << rng.randint(2, 9) for _ in range(3))
+    top = [[q, one * c1, zero], [zero, one, one * c2], [one * -c3, zero, one]]
+    a = [list(row) for row in top]
+    for _ in range(rng.randint(2, 5)):
+        t = [rng.choice([0, 1, -1]) for _ in range(3)]
+        a.append([sum((top[s][j] * t[s] for s in range(3)), zero) for j in range(3)])
+    rng.shuffle(a)
+    m = rng.randint(5, 8)
+    b = [
+        [LaurentPoly({rng.randint(0, 1): rng.choice([1, -1])}) if rng.random() < 0.6 else zero
+         for _ in range(m)]
+        for _ in range(3)
+    ]
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
+
+
+def test_pivots_stay_certified_where_the_first_point_loses_one():
+    # pivot_columns first eliminates at a point sized for 2-minors and steps up while a
+    # run may have tested larger ones.  Of the 170 products kept here, 13 lose a pivot
+    # at that first point, as q - c1 c2 c3 vanishes there, and the pivots must still be
+    # those of the point that `_evaluate` certifies for every minor
+    rng = random.Random(49)
+    kept = lost = 0
+    for _ in range(600):
+        rows = _rank_three_product(rng)
+        cols = list(zip(*rows))
+        if not all(map(any, rows + cols)) or len(set(map(tuple, rows))) < len(rows):
+            continue
+        if len(set(cols)) < len(cols):
+            continue
+        want = row_echelon_bareiss(_evaluate(rows)[0])[0]
+        assert pivot_columns(rows) == want, rows
+        kept += 1
+        lost += len(_first_point_pivots(rows)) < len(want)
+    assert (kept, lost) == (170, 13)
 
 
 def test_balanced_digits_round_trip():
@@ -574,6 +658,15 @@ def test_balanced_digits_round_trip():
         lo = min((_as_poly(e).min_exp() for e in row if e), default=0)
         want = [_as_poly(e).shift(-lo) for e in row]
         assert [_from_balanced_digits(v, k) for v in values] == want
+
+
+def test_quantum_integer_at_a_power_of_two_is_its_geometric_sum():
+    for n in range(-30, 31):
+        p = quantum_integer(n)
+        for k in range(1, 9):
+            for shift in range(abs(n) - 1, abs(n) + 3):
+                want = at_power_of_two(p, k, shift)
+                assert quantum_integer_at(n, k, shift) == want, (n, k, shift)
 
 
 def test_at_power_of_two_and_l1_norm():
