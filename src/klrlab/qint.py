@@ -381,10 +381,6 @@ class LaurentFrac:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_polynomial(self):
-        """Whether the denominator is 1."""
-        return self.den._t == _UNIT
-
     def __bool__(self):
         return bool(self.num)
 
@@ -569,18 +565,6 @@ def at_power_of_two(p, k, shift=0):
     return sum([c << k * (e + shift) for e, c in p._t.items()])
 
 
-def quantum_integer_at(n, k, shift=0):
-    """The integer value of q^shift [n] at q = 2^k, k >= 1, for shift >= |n| - 1 (where it
-    is a polynomial), without building [n]: with m = |n|, q^shift [m] is
-    q^(shift - m + 1) (1 + q^2 + ... + q^(2m - 2)), a geometric sum, so its value is
-    (2^(2km) - 1) / (2^(2k) - 1) times 2^(k (shift - m + 1)), and [-m] = -[m]."""
-    m = abs(n)
-    if not m:
-        return 0
-    v = (((1 << 2 * k * m) - 1) // ((1 << 2 * k) - 1)) << k * (shift - m + 1)
-    return v if n > 0 else -v
-
-
 def _from_balanced_digits(v, k):
     """The polynomial with coefficients in [-2^(k-1), 2^(k-1)) whose value at q = 2^k is v,
     for k >= 2.  Each step divides |v| by 2^k and adds less than 1, so a value of b bits
@@ -617,9 +601,9 @@ def pivot_columns(rows):
     elimination reads.  With each row made polynomial as in `_evaluate`, let B_s be the
     lesser of the products of the s largest row l1 sums and of the s largest column l1
     sums (of all of them, where there are fewer); no pruned row or column is zero, so
-    each sum is at least 1.  Expanding
-    either product bounds the l1 norm of every minor of size at most s, so no such
-    minor vanishes at 2^k, k >= B_s.bit_length(), unless it is 0 (Cauchy's bound).
+    each sum is at least 1.  Expanding either product bounds the l1 norm of every
+    minor of size at most s, so no such minor vanishes at 2^k, k >= B_s.bit_length(),
+    unless it is 0 (Cauchy's bound).
     Once t pivots are found, the elimination tests only (t + 1)-minors (Bareiss: its
     entries are the minors that border the pivot rows and columns with one more), so a
     run that finds r pivots has tested minors of size at most s = min(r + 1, n) and no
@@ -629,7 +613,9 @@ def pivot_columns(rows):
     k = B_s.bit_length().  k starts at B_2.bit_length() and only grows, so this ends,
     at the latest at B_n, which is at most `_evaluate`'s bound.  A run with a pivot in
     every column is certified at once: its pivots are nonzero minors, so the columns
-    are independent on the polynomials as well."""
+    are independent on the polynomials as well.  A matrix of two rows has no minor
+    larger than 2, and the product of its two row sums bounds them all, so it is
+    eliminated once, at that point, without the sorted sums."""
     if len(rows) > 1:
         rows = list(dict.fromkeys(tuple(row) for row in rows if any(map(_nonzero, row))))
     if len(rows) < 2:
@@ -640,6 +626,9 @@ def pivot_columns(rows):
             cols.setdefault(col, c)
     index = list(cols.values())
     prepared, norms = _prepare(list(zip(*cols)))
+    if len(norms) == 2:
+        k = (sum(norms[0]) * sum(norms[1])).bit_length()
+        return [index[c] for c in row_echelon_bareiss(_at(prepared, k))[0]]
     row_sums = sorted(map(sum, norms), reverse=True)
     col_sums = sorted(map(sum, zip(*norms)), reverse=True)
     n = min(len(row_sums), len(col_sums))

@@ -13,7 +13,6 @@ from .qint import (
     matrix_rank,
     pivot_columns,
     quantum_integer,
-    quantum_integer_at,
     solve_linear,
 )
 
@@ -381,7 +380,7 @@ def build_irreducible(hw):
 def _cleared(mat):
     """A dense matrix of LaurentFracs without denominators: (D, rows), with D the lcm of
     its entries' denominators and rows {row: {col: LaurentPoly}} its nonzero entries
-    times D.  When every denominator is 1, so is D, and no denominator is collected.
+    times D.
 
     Each lcm step multiplies D by what a denominator d adds to it, d / gcd(D, d), the
     denominator of LaurentFrac(D, d); once D is the lcm, LaurentFrac(D, d) is D / d."""
@@ -393,13 +392,13 @@ def _cleared(mat):
         nonzero = {c: v for c, v in enumerate(row) if v is not zero and v}
         if nonzero:
             rows[r] = nonzero
-    if all([v.is_polynomial() for row in rows.values() for v in row.values()]):
-        return LaurentPoly.one(), {r: {c: v.num for c, v in row.items()} for r, row in rows.items()}
     dens = {v.den for row in rows.values() for v in row.values()}
     lcm = LaurentPoly.one()
     for d in dens:
         if d != 1:
             lcm = lcm * LaurentFrac(lcm, d).den
+    if lcm == 1:
+        return lcm, {r: {c: v.num for c, v in row.items()} for r, row in rows.items()}
     cofactor = {d: LaurentFrac(lcm, d).num for d in dens}
     return lcm, {
         r: {c: v.num * cofactor[v.den] for c, v in row.items()} for r, row in rows.items()
@@ -486,11 +485,10 @@ def verify_relations(module):
     and a nonzero integer polynomial has no root of modulus at least its l1 norm, so
     the integer identity holds iff the polynomial one does.
 
-    The grading is checked against each column's target weight, computed once.  The
-    value of q^shift [n] at 2^k is its geometric sum (`qint.quantum_integer_at`).  On
-    each side, X_i X_j is formed once per ordered pair and X_i^2 once per i: a distant
-    pair compares X_i X_j with X_j X_i once, and Serre compares X_i (X_i X_j) and
-    X_j (X_i^2) with (X_i X_j) X_i.
+    The grading is checked against each column's target weight, computed once.  On
+    each side, a distant pair compares X_i X_j with X_j X_i once, and Serre forms
+    X_i X_j once per ordered pair and X_i^2 once per i, at i's first neighbour, and
+    compares X_i (X_i X_j) and X_j (X_i^2) with (X_i X_j) X_i.
     """
     rank = module.rank
     weights = module.weights
@@ -521,28 +519,29 @@ def verify_relations(module):
         scale = at_power_of_two(e[i][0], k) * at_power_of_two(f[i][0], k)
         shift = shift_e[i] + shift_f[i]
         bracket = {
-            n: scale * quantum_integer_at(n, k, shift) for n in {wt[i - 1] for wt in weights}
+            n: scale * at_power_of_two(quantum_integer(n), k, shift)
+            for n in {wt[i - 1] for wt in weights}
         }
         h = {r: {r: bracket[wt[i - 1]]} for r, wt in enumerate(weights)}
         for j in span:
             ef, fe = _product(ev[i], fv[j]), _product(fv[j], ev[i])
             if _entries(ef) != _entries(fe, h if i == j else {}):
                 return False
-    if rank == 1:
-        return True
     q = 1 << k
     for x in (ev, fv):
-        # every product of two letters, X_i X_j and X_i^2, formed once
-        xy = {(i, j): _product(x[i], x[j]) for i in span for j in span}
         for i in span:
+            square = None  # X_i^2, formed at i's first neighbour
             for j in span:
                 if abs(i - j) >= 2:
-                    if i < j and _entries(xy[i, j]) != _entries(xy[j, i]):
+                    if i < j and _entries(_product(x[i], x[j])) != _entries(_product(x[j], x[i])):
                         return False
                 elif abs(i - j) == 1:
+                    if square is None:
+                        square = _product(x[i], x[i])
                     # the Serre relation times q: q X_i^2 X_j + q X_j X_i^2 = (q^2 + 1) X_i X_j X_i
-                    outer = _entries(_product(x[i], xy[i, j]), _product(x[j], xy[i, i]))
-                    middle = _entries(_product(xy[i, j], x[i]))
+                    xy = _product(x[i], x[j])
+                    outer = _entries(_product(x[i], xy), _product(x[j], square))
+                    middle = _entries(_product(xy, x[i]))
                     if {key: v * q for key, v in outer.items()} != {
                         key: v * (q * q + 1) for key, v in middle.items()
                     }:

@@ -19,7 +19,6 @@ from klrlab.qint import (
     matrix_rank,
     pivot_columns,
     quantum_integer,
-    quantum_integer_at,
     row_echelon_bareiss,
     solve_linear,
 )
@@ -658,15 +657,6 @@ def test_balanced_digits_round_trip():
         lo = min((_as_poly(e).min_exp() for e in row if e), default=0)
         want = [_as_poly(e).shift(-lo) for e in row]
         assert [_from_balanced_digits(v, k) for v in values] == want
-
-
-def test_quantum_integer_at_a_power_of_two_is_its_geometric_sum():
-    for n in range(-30, 31):
-        p = quantum_integer(n)
-        for k in range(1, 9):
-            for shift in range(abs(n) - 1, abs(n) + 3):
-                want = at_power_of_two(p, k, shift)
-                assert quantum_integer_at(n, k, shift) == want, (n, k, shift)
 
 
 def test_at_power_of_two_and_l1_norm():
