@@ -214,9 +214,19 @@ def dense_sum_times_quantum_integers(terms, shift):
 
 def from_parity_class(lo, c):
     """The LaurentPoly sum_k c[k] q^(lo + 2k) of a coefficient list of one parity class."""
-    out = LaurentPoly()
-    out._t = {e: v for e, v in zip(count(lo, 2), c) if v}
-    return out
+    return _from_dense(lo, c, 2)
+
+
+def quantum_integer_at(n, k, shift):
+    """The integer value of q^shift [n] at q = 2^k, k >= 1, for shift >= |n| - 1 (where it
+    is a polynomial), without building [n]: with m = |n|, q^shift [m] is
+    q^(shift - m + 1) (1 + q^2 + ... + q^(2m - 2)), a geometric sum, so its value is
+    (2^(2km) - 1) / (2^(2k) - 1) times 2^(k (shift - m + 1)), and [-m] = -[m]."""
+    m = abs(n)
+    if not m:
+        return 0
+    v = (((1 << 2 * k * m) - 1) // ((1 << 2 * k) - 1)) << k * (shift - m + 1)
+    return v if n > 0 else -v
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +244,11 @@ def _to_dense(p):
     return lo, c
 
 
-def _from_dense(shift, c):
-    return LaurentPoly({shift + k: v for k, v in enumerate(c) if v})
+def _from_dense(shift, c, step=1):
+    """The LaurentPoly sum_j c[j] q^(shift + step j)."""
+    out = LaurentPoly()
+    out._t = {e: v for e, v in zip(count(shift, step), c) if v}
+    return out
 
 
 def _dense_trim(c):
@@ -245,10 +258,7 @@ def _dense_trim(c):
 
 
 def _dense_content(c):
-    g = 0
-    for v in c:
-        g = _int_gcd(g, abs(v))
-    return g or 1
+    return _int_gcd(*c) or 1
 
 
 def _dense_mul_scalar(c, s):
@@ -317,6 +327,47 @@ def _dense_divexact(f, g):
     return q
 
 
+def _reduced(num, den, step):
+    """The reduced fraction num/den (see `LaurentFrac`) as its numerator and denominator
+    LaurentPolys, for num and den given as (lo, c), the polynomial sum_j c[j] q^(lo + step j)
+    with c a list or tuple, c[0] and c[-1] nonzero (empty for zero).
+
+    Contents, gcd and exact division run on the lists as they are, that is in x = q^step.
+    For step 2 (a parity-class pair, `_dense_entry`) that gives the fraction reduced in
+    q, on lists half as long as the dense ones: q -> q^2 is an injective ring map, and
+    Euclid's division of B(q^2) by M(q^2) over Q stays in Q[q^2], so
+    gcd(B(q^2), M(q^2)) = gcd(B, M)(q^2), B(q^2) has B's content, and
+    q^lo_b B(q^2) / q^lo_m M(q^2) = q^(lo_b - lo_m) B(q^2) / M(q^2).  The reduced form is
+    unique, so both steps give the same fraction."""
+    lo_n, fn = num
+    lo_d, fd = den
+    if not fd:
+        raise ZeroDivisionError("zero denominator")
+    if not fn:
+        return LaurentPoly(), LaurentPoly.one()
+    cn, cd = _dense_content(fn), _dense_content(fd)
+    pn = [v // cn for v in fn]
+    pd = [v // cd for v in fd]
+    g = _dense_gcd(pn, pd)
+    if len(g) > 1 or g[0] != 1:
+        pn = _dense_divexact(pn, g)
+        pd = _dense_divexact(pd, g)
+    cg = _int_gcd(cn, cd)
+    cn //= cg
+    cd //= cg
+    if pd[-1] < 0:
+        pd = [-v for v in pd]
+        pn = [-v for v in pn]
+    if cd < 0:
+        cd = -cd
+        cn = -cn
+    # absorb the q-power shift entirely into the numerator
+    return (
+        _from_dense(lo_n - lo_d, _dense_mul_scalar(pn, cn), step),
+        _from_dense(0, _dense_mul_scalar(pd, cd), step),
+    )
+
+
 # the terms of the denominator 1
 _UNIT = {0: 1}
 
@@ -324,11 +375,14 @@ _UNIT = {0: 1}
 class LaurentFrac:
     """A reduced fraction of Laurent polynomials: numerator and denominator share no
     polynomial or integer factor, and the denominator has lowest exponent 0 and a
-    positive leading coefficient.
+    positive leading coefficient.  That form is unique: two coprime pairs with the same
+    quotient differ by a unit +-q^j, which those two conditions fix.
 
     A polynomial is already reduced, with denominator 1, so `LaurentFrac(num)` and the
     sum and product of two fractions with denominator 1 skip the gcd (and so does their
-    difference, a sum with the negation)."""
+    difference, a sum with the negation).  Otherwise both polynomials are reduced as
+    dense coefficient lists (`_reduced`, step 1); `solve_linear` reduces a quotient of two
+    parity-class pairs on their half-length lists (step 2)."""
 
     __slots__ = ("num", "den")
 
@@ -342,33 +396,7 @@ class LaurentFrac:
             return
         if isinstance(den, int):
             den = LaurentPoly({0: den})
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.one()
-            return
-        sn, fn = _to_dense(num)
-        sd, fd = _to_dense(den)
-        cn, cd = _dense_content(fn), _dense_content(fd)
-        pn = [v // cn for v in fn]
-        pd = [v // cd for v in fd]
-        g = _dense_gcd(pn, pd)
-        if len(g) > 1 or g[0] != 1:
-            pn = _dense_divexact(pn, g)
-            pd = _dense_divexact(pd, g)
-        cg = _int_gcd(cn, cd)
-        cn //= cg
-        cd //= cg
-        if pd[-1] < 0:
-            pd = [-v for v in pd]
-            pn = [-v for v in pn]
-        if cd < 0:
-            cd = -cd
-            cn = -cn
-        # absorb the q-power shift entirely into the numerator
-        self.num = _from_dense(sn - sd, _dense_mul_scalar(pn, cn))
-        self.den = _from_dense(0, _dense_mul_scalar(pd, cd))
+        self.num, self.den = _reduced(_to_dense(num), _to_dense(den), 1)
 
     @classmethod
     def zero(cls):
@@ -496,6 +524,15 @@ def _dense_entry(e):
     return 0, 1, (e,) if e else ()
 
 
+def _step_one(step, c):
+    """The coefficients c of `_dense_entry`'s form spelled out with step 1."""
+    if step == 1 or len(c) < 2:
+        return c
+    out = [0] * (2 * len(c) - 1)
+    out[::2] = c
+    return out
+
+
 def _nonzero(e):
     """Whether an elimination entry (see `_evaluate`) is nonzero; a pair (lo, ()) is
     zero, though a nonempty tuple."""
@@ -527,12 +564,12 @@ def _evaluate(rows, spare_bits=0, width=None):
     """A matrix of elimination entries as an integer matrix at a certified point q = 2^k;
     returns (integer rows, k).
 
-    An elimination entry is an int, a LaurentPoly or a pair (lo, c), c a tuple: the
-    polynomial sum_j c[j] q^(lo + 2j) of one exponent-parity class (zero when c is
-    empty, whatever lo is).  The pair is the form in which `uqmod._gram_entry` keeps
-    each entry of the contravariant form, once; Gram ranks, basis pivots and solves
-    read it here as it is, and `uqmod` builds a LaurentPoly from it only where its
-    public API hands one out.
+    An elimination entry is an int, a LaurentPoly or a pair (lo, c), c a tuple with c[0]
+    and c[-1] nonzero: the polynomial sum_j c[j] q^(lo + 2j) of one exponent-parity
+    class (zero when c is empty, whatever lo is).  The pair is the form in which
+    `uqmod._gram_entry` keeps each entry of the contravariant form, once; Gram ranks,
+    basis pivots and solves read it here as it is, and `uqmod` builds a LaurentPoly
+    from it only where its public API hands one out.
 
     Each row is first multiplied by the power of q that makes it polynomial, a unit, so
     no minor changes whether it is zero.  With B = prod_i max(1, sum_j |M_ij|_1), every
@@ -661,15 +698,26 @@ def solve_linear(matrix, *columns):
     columns 0..n-1 (else ArithmeticError).  Back substitution without fractions gives
     P_i = D x_i for each column, with D the last pivot.  D and P_i are det M and
     det M_i (Cramer's rule), minors of [M | b] whose coefficients lie below 2^(k-1) in
-    absolute value, so each is read back from its balanced base-2^k digits.  A single
-    equation m x = b with m nonzero is x = b/m, without the evaluation."""
+    absolute value, so each is read back from its balanced base-2^k digits.
+
+    A single equation m x = b with m nonzero is x = b/m, without the evaluation, reduced
+    on the coefficient lists of `_dense_entry` (`_reduced`).  Where m and b are both
+    parity-class pairs, as every 1x1 solve of `uqmod.build_irreducible` is, it runs on
+    the pairs' own tuples with step 2, in q^2; a pair beside an int or a LaurentPoly is
+    spelled out with step 1 first."""
     n = len(matrix)
     if n == 1 and _nonzero(matrix[0][0]):
-        m, *bs = (
-            from_parity_class(*e) if isinstance(e, tuple) else e
-            for e in (matrix[0][0], *(col[0] for col in columns))
-        )
-        return [[LaurentFrac(b, m)] for b in bs]
+        lo_m, step_m, m = _dense_entry(matrix[0][0])
+        out = []
+        for col in columns:
+            lo_b, step, b = _dense_entry(col[0])
+            den = m
+            if step != step_m:
+                step, b, den = 1, _step_one(step, b), _step_one(step_m, m)
+            x = LaurentFrac.__new__(LaurentFrac)
+            x.num, x.den = _reduced((lo_b, b), (lo_m, den), step)
+            out.append([x])
+        return out
     augmented = [list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)]
     rows, k = _evaluate(augmented, 1, n)
     pivots, m = row_echelon_bareiss(rows)

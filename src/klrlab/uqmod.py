@@ -5,6 +5,7 @@ from collections import Counter
 
 from .combi import CartanA, Partition, interlacing_set, weight_of_partition, weyl_dim
 from .qint import (
+    _UNIT,
     LaurentFrac,
     LaurentPoly,
     at_power_of_two,
@@ -13,6 +14,7 @@ from .qint import (
     matrix_rank,
     pivot_columns,
     quantum_integer,
+    quantum_integer_at,
     solve_linear,
 )
 
@@ -378,31 +380,42 @@ def build_irreducible(hw):
 
 
 def _cleared(mat):
-    """A dense matrix of LaurentFracs without denominators: (D, rows), with D the lcm of
-    its entries' denominators and rows {row: {col: LaurentPoly}} its nonzero entries
-    times D.
+    """A dense matrix of LaurentFracs without denominators: (D, rows, rho, low), with D
+    the lcm of its entries' denominators, rows {row: {col: LaurentPoly}} its nonzero
+    entries times D, rho the largest l1 sum of a row of those, and low the least
+    exponent among them (0 if there is none).
 
-    Each lcm step multiplies D by what a denominator d adds to it, d / gcd(D, d), the
-    denominator of LaurentFrac(D, d); once D is the lcm, LaurentFrac(D, d) is D / d."""
+    The matrix is read once, and rho and low are taken as each row is cleared, so no
+    caller walks the entries again.  A denominator 1 is told by its terms, with no
+    hash; only the others are collected.  Each lcm step multiplies D by what a
+    denominator d adds to it, d / gcd(D, d), the denominator of LaurentFrac(D, d); once
+    D is the lcm, LaurentFrac(D, d) is D / d."""
     # `build_irreducible` fills a dense matrix with one zero object, so an identity test
     # skips most entries before the truth test
     zero = next((v for row in mat for v in row if not v), None)
     rows = {}
+    dens = {}
     for r, row in enumerate(mat):
         nonzero = {c: v for c, v in enumerate(row) if v is not zero and v}
         if nonzero:
             rows[r] = nonzero
-    dens = {v.den for row in rows.values() for v in row.values()}
+            for v in nonzero.values():
+                if v.den._t != _UNIT:
+                    dens[v.den] = None
     lcm = LaurentPoly.one()
     for d in dens:
-        if d != 1:
-            lcm = lcm * LaurentFrac(lcm, d).den
-    if lcm == 1:
-        return lcm, {r: {c: v.num for c, v in row.items()} for r, row in rows.items()}
+        lcm = lcm * LaurentFrac(lcm, d).den
     cofactor = {d: LaurentFrac(lcm, d).num for d in dens}
-    return lcm, {
-        r: {c: v.num * cofactor[v.den] for c, v in row.items()} for r, row in rows.items()
-    }
+    cleared = {}
+    rho, lows = 0, []
+    for r, row in rows.items():
+        out = cleared[r] = {
+            c: v.num if not dens else v.num * (lcm if v.den._t == _UNIT else cofactor[v.den])
+            for c, v in row.items()
+        }
+        rho = max(rho, sum([p.l1_norm() for p in out.values()]))
+        lows.append(min([p.min_exp() for p in out.values()]))
+    return lcm, cleared, rho, min(lows, default=0)
 
 
 def _product(a, b):
@@ -428,7 +441,8 @@ def _entries(*mats):
 
 def _certificate(weights, e, f):
     """The shifts s_X and the exponent k at which `verify_relations` evaluates the
-    cleared matrices e[i], f[i] (each a `_cleared` pair), as (shifts of E, shifts of F, k).
+    cleared matrices e[i], f[i] (each as `_cleared` returns it), as
+    (shifts of E, shifts of F, k).
 
     q^s_X times a cleared X is a polynomial, and s_E_i + s_F_i is at least |wt_i| - 1 on
     every weight, so q^(s_E_i + s_F_i) [wt_i] is one too.  With rho_X the largest l1 sum
@@ -438,19 +452,14 @@ def _certificate(weights, e, f):
       2 rho_E rho_F + |D_E|_1 |D_F|_1 max|wt_i|  for [E_i, F_j] = delta_ij [h_i],
       2 rho_i rho_j                              for X_i X_j = X_j X_i,
       4 rho_i^2 rho_j                            for Serre, times q: [2] = q^-1 (q^2 + 1),
-    and 2^k exceeds all of them."""
-    def rho(rows):
-        return max((sum(p.l1_norm() for p in row.values()) for row in rows.values()), default=0)
-
-    def low(rows):
-        return -min((p.min_exp() for row in rows.values() for p in row.values()), default=0)
-
+    and 2^k exceeds all of them.  rho_X and the least exponent of X come from the pass
+    of `_cleared` that clears X."""
     span = range(1, len(e) + 1)
-    rho_e = {i: rho(e[i][1]) for i in span}
-    rho_f = {i: rho(f[i][1]) for i in span}
+    rho_e = {i: e[i][2] for i in span}
+    rho_f = {i: f[i][2] for i in span}
     top = {i: max(abs(wt[i - 1]) for wt in weights) for i in span}
-    shift_f = {i: max(0, low(f[i][1])) for i in span}
-    shift_e = {i: max(0, low(e[i][1]), top[i] - 1 - shift_f[i]) for i in span}
+    shift_f = {i: max(0, -f[i][3]) for i in span}
+    shift_e = {i: max(0, -e[i][3], top[i] - 1 - shift_f[i]) for i in span}
     bound = 0
     for i in span:
         for j in span:
@@ -477,13 +486,16 @@ def verify_relations(module):
     X_i^2 X_j - [2] X_i X_j X_i + X_j X_i^2 = 0 for |i - j| = 1, for X = E and X = F.
     Returns False on the first relation that fails.
 
-    No relation is checked in Z[q, q^-1].  Each matrix X is read once and multiplied by
-    q^s_X D_X, D_X its common denominator, and every relation by the product of the
+    No relation is checked in Z[q, q^-1].  Each matrix X is read once (`_cleared`, which
+    also gives the row sums and least exponent that `_certificate` needs) and multiplied
+    by q^s_X D_X, D_X its common denominator, and every relation by the product of the
     q^s_X D_X of its letters, which is nonzero.  Every entry is then a polynomial in
     Z[q], evaluated once at q = 2^k (`_certificate`), and each relation is an identity
     of integer matrices.  2^k exceeds the l1 norm of the difference of its two sides,
     and a nonzero integer polynomial has no root of modulus at least its l1 norm, so
-    the integer identity holds iff the polynomial one does.
+    the integer identity holds iff the polynomial one does.  The bracket q^s [wt_i] of
+    each distinct wt_i is read at 2^k in closed form, as a geometric sum
+    (`qint.quantum_integer_at`), with no quantum integer built.
 
     The grading is checked against each column's target weight, computed once.  On
     each side, a distant pair compares X_i X_j with X_j X_i once, and Serre forms
@@ -498,7 +510,7 @@ def verify_relations(module):
     f = {i: _cleared(module.f_mats[i]) for i in span}
     for j in span:
         alpha = [cartan.entry(i, j) for i in span]
-        for (_, rows), sign in ((e[j], 1), (f[j], -1)):
+        for (_, rows, _, _), sign in ((e[j], 1), (f[j], -1)):
             # the weight that a row must have for an entry in each column
             target = [tuple([w + sign * a for w, a in zip(wt, alpha)]) for wt in weights]
             for r, row in rows.items():
@@ -519,8 +531,7 @@ def verify_relations(module):
         scale = at_power_of_two(e[i][0], k) * at_power_of_two(f[i][0], k)
         shift = shift_e[i] + shift_f[i]
         bracket = {
-            n: scale * at_power_of_two(quantum_integer(n), k, shift)
-            for n in {wt[i - 1] for wt in weights}
+            n: scale * quantum_integer_at(n, k, shift) for n in {wt[i - 1] for wt in weights}
         }
         h = {r: {r: bracket[wt[i - 1]]} for r, wt in enumerate(weights)}
         for j in span:

@@ -19,6 +19,7 @@ from klrlab.qint import (
     matrix_rank,
     pivot_columns,
     quantum_integer,
+    quantum_integer_at,
     row_echelon_bareiss,
     solve_linear,
 )
@@ -481,6 +482,67 @@ def test_elimination_reads_parity_class_pairs_as_their_polynomials():
             assert got == _solution(polys, [_as_poly(b) for b in rhs]), (rows, rhs)
             seen.add((n, got == "singular"))
     assert seen == {(n, singular) for n in range(1, 5) for singular in (False, True)}
+
+
+def _pair_of(p):
+    """A LaurentPoly of one exponent-parity class as its (lo, c) pair, c trimmed."""
+    if p.is_zero():
+        return 0, ()
+    lo, t = p.min_exp(), dict(p.items())
+    assert all((e - lo) % 2 == 0 for e in t), p
+    return lo, tuple(t.get(e, 0) for e in range(lo, p.max_exp() + 1, 2))
+
+
+def test_one_by_one_solve_reduces_pairs_in_q_squared():
+    # b/m on two parity-class pairs is reduced on their own coefficient tuples, in q^2;
+    # it must give the fraction that the dense reduction in q gives
+    rng = random.Random("step-2 reduction")
+    shared = quantum_integer(2) * quantum_integer(3)
+    seen = set()
+    for trial in range(600):
+        kind = ("zero b", "content", "[2][3]", "plain")[trial % 4]
+        lo_b, lo_m = rng.randint(-7, 7), rng.randint(-7, 7)
+        b = from_parity_class(lo_b, _rand_pair(rng)[1] or (1,))
+        m = from_parity_class(lo_m, _rand_pair(rng)[1] or (-1,))
+        if kind == "zero b":
+            b = LaurentPoly.zero()
+        elif kind == "content":
+            g = rng.randint(2, 6)
+            b, m = b * g, m * g
+        elif kind == "[2][3]":
+            b, m = b * shared, m * shared
+        pb, pm = _pair_of(b), _pair_of(m)
+        [[x]] = solve_linear([[pm]], [pb])
+        want = LaurentFrac(from_parity_class(*pb), from_parity_class(*pm))
+        assert x.to_record() == want.to_record() and want == LaurentFrac(b, m), (pb, pm)
+        seen.add(kind)
+        for side, (lo, c) in (("b", pb), ("m", pm)):
+            if c:
+                seen.add(f"{side} lo {'odd' if lo % 2 else 'even'}")
+                if lo < 0:
+                    seen.add(f"{side} lo negative")
+        if pm[1][-1] < 0:
+            seen.add("m lead negative")
+        if pb[1] and math.gcd(*pb[1], *pm[1]) > 1:
+            seen.add("shared content")
+    assert seen >= {
+        "zero b", "content", "[2][3]", "plain", "m lead negative", "shared content",
+        "b lo odd", "b lo even", "b lo negative", "m lo odd", "m lo even", "m lo negative",
+    }, seen
+    # a pair beside an int or a LaurentPoly is spelled out with step 1 first
+    two = from_parity_class(-1, (1, 1))
+    for m, b in ((2, (-1, (2, 2))), ((-1, (1, 1)), quantum_integer(2) * 4), (two, (3, (5,)))):
+        [[x]] = solve_linear([[m]], [b])
+        assert x == LaurentFrac(_as_poly(b), _as_poly(m)), (m, b)
+
+
+def test_quantum_integer_at_a_power_of_two_is_its_geometric_sum():
+    for n in range(-30, 31):
+        for k in range(1, 25):
+            for shift in range(abs(n) - 1, abs(n) + 4):
+                want = at_power_of_two(quantum_integer(n), k, shift)
+                assert quantum_integer_at(n, k, shift) == want, (n, k, shift)
+    assert quantum_integer_at(0, 3, -1) == quantum_integer_at(0, 5, 7) == 0
 
 
 def _leibniz_det(rows):

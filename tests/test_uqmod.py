@@ -16,6 +16,7 @@ from klrlab.qint import (
     LaurentFrac,
     LaurentPoly,
     _evaluate,
+    from_parity_class,
     pivot_columns,
     quantum_integer,
     row_echelon_bareiss,
@@ -557,6 +558,62 @@ def test_verify_relations_agrees_with_the_symbolic_check_on_mutants():
     assert verdicts.count(False) >= 200 and verdicts.count(True) >= 100
 
 
+
+def test_verify_relations_agrees_with_the_symbolic_check_on_large_modules():
+    # V(2,1,1) and V(1,2,1), dimensions 140 and 175, whose E and F have 8 and 7 distinct
+    # denominators other than 1, and 20 seeded one-entry mutants of each.  The point k is
+    # pinned: `_cleared` clears by the lcm of the denominators, and a larger common
+    # denominator (their product, say) gives the same verdicts at a larger k
+    rng = random.Random("verify_relations large modules")
+    mutations = _mutations()
+    for hw, dim, dens, k in (((2, 1, 1), 140, 8, 29), ((1, 2, 1), 175, 7, 32)):
+        mod = build_irreducible(hw)
+        mats = [m for side in (mod.e_mats, mod.f_mats) for m in side.values()]
+        assert mod.dim() == dim, hw
+        assert len({v.den for m in mats for row in m for v in row if v} - {1}) == dens, hw
+        e, f = _cleared_module(mod)
+        assert uqmod._certificate(mod.weights, e, f)[2] == k, hw
+        assert verify_relations(mod) and symbolic_relations.verify_relations(mod), hw
+        verdicts = []
+        for _ in range(20):
+            mat = rng.choice(mats)
+            nonzero = [(r, c) for r, row in enumerate(mat) for c, v in enumerate(row) if v]
+            if rng.random() < 0.5:
+                r, c = rng.choice(nonzero)
+            else:
+                r, c = rng.randrange(dim), rng.randrange(dim)
+            keep = mat[r][c]
+            mat[r][c] = rng.choice(mutations)(keep)
+            want = symbolic_relations.verify_relations(mod)
+            assert verify_relations(mod) is want, (hw, r, c, mat[r][c])
+            verdicts.append(want)
+            mat[r][c] = keep
+        assert False in verdicts, hw
+
+
+def test_one_by_one_solves_of_the_family_builds_reduce_in_q_squared(monkeypatch):
+    # every 1x1 solve that the 69 family builds make divides two form entries, (lo, c)
+    # pairs, and reduces the quotient on their tuples in q^2; each must be the fraction
+    # that the dense reduction in q gives
+    calls = []
+    solve = uqmod.solve_linear
+
+    def recording(matrix, *columns):
+        out = solve(matrix, *columns)
+        if len(matrix) == 1:
+            calls.append((matrix[0][0], [col[0] for col in columns], out))
+        return out
+
+    monkeypatch.setattr(uqmod, "solve_linear", recording)
+    for hw in MODULE_FAMILY:
+        build_irreducible(hw)
+    assert len(calls) == 195
+    for m, bs, out in calls:
+        for b, [x] in zip(bs, out):
+            assert isinstance(m, tuple) and isinstance(b, tuple), (m, b)
+            want = LaurentFrac(from_parity_class(*b), from_parity_class(*m))
+            assert x.to_record() == want.to_record(), (m, b)
+
 def _cleared_module(mod):
     e = {i: uqmod._cleared(mod.e_mats[i]) for i in range(1, mod.rank + 1)}
     f = {i: uqmod._cleared(mod.f_mats[i]) for i in range(1, mod.rank + 1)}
@@ -572,8 +629,9 @@ def test_verify_relations_shift_floors_at_zero():
             for mats, k in ((mod.e_mats, 12), (mod.f_mats, -12)):
                 mats[i] = [[v * LaurentPoly({k: 1}) for v in row] for row in mats[i]]
         e, f = _cleared_module(mod)
-        rows = [row for _, cleared in e.values() for row in cleared.values()]
-        assert min(p.min_exp() for row in rows for p in row.values()) > 0, hw
+        rows = [row for _, cleared, _, _ in e.values() for row in cleared.values()]
+        low = min(p.min_exp() for row in rows for p in row.values())
+        assert low > 0 and min(least for *_, least in e.values()) == low, hw
         shift_e, _, _ = uqmod._certificate(mod.weights, e, f)
         assert set(shift_e.values()) == {0}, hw
         assert verify_relations(mod) and symbolic_relations.verify_relations(mod), hw
