@@ -2,6 +2,7 @@
 
 import functools
 from collections import Counter
+from types import MappingProxyType
 
 from .combi import CartanA, Partition, interlacing_set, weight_of_partition, weyl_dim
 from .qint import (
@@ -263,15 +264,19 @@ def exhaustion_depth(hw):
 
 
 class HighestWeightModule:
-    """An irreducible highest weight module with basis tagged by F-monomial words."""
+    """An irreducible highest weight module with basis tagged by F-monomial words.
 
-    def __init__(self, rank, hw, basis, weights, e_mats, f_mats, gram_rows):
+    E_i and F_i are kept as sparse rows, `e_rows[i]` and `f_rows[i]`, each
+    {row: {col: LaurentFrac}} with nonzero entries only and a key for every i in
+    1..rank; `e_mats` and `f_mats` are a read-only dense view of them."""
+
+    def __init__(self, rank, hw, basis, weights, e_rows, f_rows, gram_rows):
         self.rank = rank
         self.hw = tuple(hw)
         self.basis = tuple(basis)
         self.weights = tuple(weights)
-        self.e_mats = e_mats
-        self.f_mats = f_mats
+        self.e_rows = e_rows
+        self.f_rows = f_rows
         self._gram_rows = gram_rows
         self._grams = None
         spaces = {}
@@ -290,6 +295,24 @@ class HighestWeightModule:
             }
         return self._grams
 
+    @property
+    def e_mats(self):
+        """{i: E_i} as dim x dim tuples of LaurentFracs, built from `e_rows` on each
+        access and never kept: a write into it raises TypeError."""
+        return self._dense(self.e_rows)
+
+    @property
+    def f_mats(self):
+        """{i: F_i} as dim x dim tuples, built from `f_rows` like `e_mats`."""
+        return self._dense(self.f_rows)
+
+    def _dense(self, sides):
+        zero, empty, span = LaurentFrac.zero(), {}, range(self.dim())
+        return MappingProxyType({
+            i: tuple(tuple(rows.get(r, empty).get(c, zero) for c in span) for r in span)
+            for i, rows in sides.items()
+        })
+
     def dim(self):
         return len(self.basis)
 
@@ -299,8 +322,8 @@ class HighestWeightModule:
 
 def build_irreducible(hw):
     """Span F-monomials layer by layer, keep a pivot basis of the nondegenerate quotient,
-    and assemble the E and F actions as exact matrices; K_i acts on each basis vector
-    by q to the i-th entry of its weight.
+    and assemble the E and F actions as exact sparse rows (`HighestWeightModule.e_rows`,
+    `f_rows`); K_i acts on each basis vector by q to the i-th entry of its weight.
 
     The candidates of a layer are the words u + (i,) for the basis words u of the layer
     before, so they are the F images of that layer.  The basis of a weight space is the
@@ -368,35 +391,31 @@ def build_irreducible(hw):
                 h = quantum_integer(weights[p][i - 1])
                 acc[p] = acc[p] + h if p in acc else LaurentFrac(h)
             e_cols[i, col] = {row: v for row, v in acc.items() if not v.is_zero()}
-    dim = len(index)
-    zero = LaurentFrac.zero()
-    e_mats = {i: [[zero] * dim for _ in range(dim)] for i in range(1, rank + 1)}
-    f_mats = {i: [[zero] * dim for _ in range(dim)] for i in range(1, rank + 1)}
-    for mats, cols in ((e_mats, e_cols), (f_mats, f_cols)):
+    e_rows = {i: {} for i in range(1, rank + 1)}
+    f_rows = {i: {} for i in range(1, rank + 1)}
+    for rows, cols in ((e_rows, e_cols), (f_rows, f_cols)):
         for (i, col), coords in cols.items():
             for row, val in coords.items():
-                mats[i][row][col] = val
-    return HighestWeightModule(rank, hw, list(index), weights, e_mats, f_mats, gram_rows)
+                rows[i].setdefault(row, {})[col] = val
+    return HighestWeightModule(rank, hw, list(index), weights, e_rows, f_rows, gram_rows)
 
 
 def _cleared(mat):
-    """A dense matrix of LaurentFracs without denominators: (D, rows, rho, low), with D
-    the lcm of its entries' denominators, rows {row: {col: LaurentPoly}} its nonzero
-    entries times D, rho the largest l1 sum of a row of those, and low the least
+    """Sparse rows {row: {col: LaurentFrac}} without denominators: (D, rows, rho, low),
+    with D the lcm of the entries' denominators, rows {row: {col: LaurentPoly}} the
+    nonzero entries times D, rho the largest l1 sum of a row of those, and low the least
     exponent among them (0 if there is none).
 
-    The matrix is read once, and rho and low are taken as each row is cleared, so no
+    The rows are read once, and rho and low are taken as each row is cleared, so no
     caller walks the entries again.  A denominator 1 is told by its terms, with no
     hash; only the others are collected.  Each lcm step multiplies D by what a
     denominator d adds to it, d / gcd(D, d), the denominator of LaurentFrac(D, d); once
     D is the lcm, LaurentFrac(D, d) is D / d."""
-    # `build_irreducible` fills a dense matrix with one zero object, so an identity test
-    # skips most entries before the truth test
-    zero = next((v for row in mat for v in row if not v), None)
     rows = {}
     dens = {}
-    for r, row in enumerate(mat):
-        nonzero = {c: v for c, v in enumerate(row) if v is not zero and v}
+    for r, row in mat.items():
+        # the build stores no zero, but a caller's rows may hold one
+        nonzero = {c: v for c, v in row.items() if v}
         if nonzero:
             rows[r] = nonzero
             for v in nonzero.values():
@@ -475,7 +494,7 @@ def _certificate(weights, e, f):
 
 
 def verify_relations(module):
-    """Check the defining relations of U_q(sl_{n+1}) on the module's E and F matrices.
+    """Check the defining relations of U_q(sl_{n+1}) on the module's E and F rows.
 
     The K relations K_i E_j K_i^-1 = q^{a_ij} E_j and K_i F_j K_i^-1 = q^{-a_ij} F_j are
     checked as the weight grading they amount to entry by entry: every nonzero entry
@@ -486,10 +505,10 @@ def verify_relations(module):
     X_i^2 X_j - [2] X_i X_j X_i + X_j X_i^2 = 0 for |i - j| = 1, for X = E and X = F.
     Returns False on the first relation that fails.
 
-    No relation is checked in Z[q, q^-1].  Each matrix X is read once (`_cleared`, which
-    also gives the row sums and least exponent that `_certificate` needs) and multiplied
-    by q^s_X D_X, D_X its common denominator, and every relation by the product of the
-    q^s_X D_X of its letters, which is nonzero.  Every entry is then a polynomial in
+    No relation is checked in Z[q, q^-1].  The sparse rows of each X are read once
+    (`_cleared`, which also gives the row sums and least exponent that `_certificate`
+    needs) and multiplied by q^s_X D_X, D_X its common denominator, and every relation
+    by the product of the q^s_X D_X of its letters, which is nonzero.  Every entry is then a polynomial in
     Z[q], evaluated once at q = 2^k (`_certificate`), and each relation is an identity
     of integer matrices.  2^k exceeds the l1 norm of the difference of its two sides,
     and a nonzero integer polynomial has no root of modulus at least its l1 norm, so
@@ -506,8 +525,8 @@ def verify_relations(module):
     weights = module.weights
     cartan = CartanA(rank)
     span = range(1, rank + 1)
-    e = {i: _cleared(module.e_mats[i]) for i in span}
-    f = {i: _cleared(module.f_mats[i]) for i in span}
+    e = {i: _cleared(module.e_rows[i]) for i in span}
+    f = {i: _cleared(module.f_rows[i]) for i in span}
     for j in span:
         alpha = [cartan.entry(i, j) for i in span]
         for (_, rows, _, _), sign in ((e[j], 1), (f[j], -1)):
@@ -587,10 +606,10 @@ def branching_character_check(lam):
         top = tuple(m[i] - m[i + 1] for i in range(n - 1)) + (m[-1] - lam.size() + mu.size(),)
         expected[top] += 1
     # E_i sends each weight space into one other, so the columns of a row of E_i all lie
-    # in one weight space: the rows are grouped by the weight of their first column
+    # in one weight space: its cleared rows are grouped by the weight of their first column
     e_rows = {}
     for i in range(1, n):
-        for row in _cleared(module.e_mats[i])[1].values():
+        for row in _cleared(module.e_rows[i])[1].values():
             e_rows.setdefault(module.weights[next(iter(row))], []).append(row)
     found = {}
     for wt, cols in module.weight_spaces.items():

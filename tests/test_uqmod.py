@@ -1,5 +1,6 @@
 """Module-level checks: forms, relation verification, branching."""
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -414,6 +415,50 @@ def test_ef_matrices_match_every_benchmark_reference():
         assert ef_sha256(build_irreducible(hw))[:16] == want, hw
 
 
+def test_ef_are_kept_as_nonzero_sparse_rows_with_a_read_only_view():
+    # the build stores no zero entry and no empty row, and the dense view holds each
+    # stored entry at its place and zero elsewhere; a write into the view fails at once,
+    # so no caller can mutate a copy that `verify_relations` does not read
+    zero = LaurentFrac.zero()
+    for hw in MODULE_FAMILY:
+        mod = build_irreducible(hw)
+        dim = mod.dim()
+        for side, view in ((mod.e_rows, mod.e_mats), (mod.f_rows, mod.f_mats)):
+            assert list(side) == list(view) == list(range(1, mod.rank + 1)), hw
+            for i, rows in side.items():
+                assert all(row and all(row.values()) for row in rows.values()), (hw, i)
+                dense = view[i]
+                assert len(dense) == dim and all(len(row) == dim for row in dense), (hw, i)
+                stored = sum(len(row) for row in rows.values())
+                assert sum(bool(v) for row in dense for v in row) == stored, (hw, i)
+                for r, row in enumerate(dense):
+                    for c, v in enumerate(row):
+                        assert v == rows.get(r, {}).get(c, zero), (hw, i, r, c)
+        with pytest.raises(TypeError):
+            mod.e_mats[1][0][0] = LaurentFrac.one()
+        with pytest.raises(TypeError):
+            mod.f_mats[1] = ()
+
+
+@contextlib.contextmanager
+def _mutated(rows, r, c, change):
+    """Entry (r, c) of sparse rows {row: {col: value}} set to change(value), zero for an
+    absent entry, inside the block, and restored after it: an absent entry is deleted
+    again, with its row if that empties it.  Yields the value set."""
+    row = rows.setdefault(r, {})
+    keep = row.get(c)
+    value = row[c] = change(LaurentFrac.zero() if keep is None else keep)
+    try:
+        yield value
+    finally:
+        if keep is not None:
+            row[c] = keep
+        elif len(row) > 1:
+            del row[c]
+        else:
+            del rows[r]
+
+
 def test_f_of_a_basis_word_onto_a_basis_word_is_a_unit_column():
     # build_irreducible gives these images unit coordinates without solving
     for hw in [(2, 1), (1, 1, 1), (5,)]:
@@ -426,9 +471,9 @@ def test_f_of_a_basis_word_onto_a_basis_word_is_a_unit_column():
                 if row is None:
                     continue
                 seen += 1
-                column = [mod.f_mats[i][r][col] for r in range(mod.dim())]
+                column = {r: entries[col] for r, entries in mod.f_rows[i].items() if col in entries}
                 assert column[row] == LaurentFrac.one(), (hw, u, i)
-                assert all(v.is_zero() for r, v in enumerate(column) if r != row), (hw, u, i)
+                assert all(v.is_zero() for r, v in column.items() if r != row), (hw, u, i)
         assert seen == mod.dim() - 1, hw
 
 
@@ -440,26 +485,24 @@ def test_verify_relations_good_modules():
 
 def test_verify_relations_detects_mutation():
     mod = build_irreducible((1, 1))
-    mod.e_mats[1][0][1] = mod.e_mats[1][0][1] + LaurentFrac.one()
-    assert not verify_relations(mod)
+    with _mutated(mod.e_rows[1], 0, 1, lambda v: v + LaurentFrac.one()):
+        assert not verify_relations(mod)
     mod = build_irreducible((2,))
-    mod.f_mats[1][2][1] = LaurentFrac.zero()
-    assert not verify_relations(mod)
+    with _mutated(mod.f_rows[1], 2, 1, lambda v: LaurentFrac.zero()):
+        assert not verify_relations(mod)
     # E_1 must raise the weight, so no nonzero entry may stay inside one weight space
     mod = build_irreducible((1, 1))
     r, c = mod.weight_spaces[(0, 0)]
-    mod.e_mats[1][r][c] = LaurentFrac.one()
-    assert not verify_relations(mod)
+    with _mutated(mod.e_rows[1], r, c, lambda v: LaurentFrac.one()):
+        assert not verify_relations(mod)
     # every single-entry +1 mutation of every E_i and F_i
     for hw in [(2,), (1, 1), (1, 0, 1)]:
         mod = build_irreducible(hw)
-        for mats in (mod.e_mats, mod.f_mats):
-            for i, mat in mats.items():
+        for side in (mod.e_rows, mod.f_rows):
+            for i, rows in side.items():
                 for r, c in itertools.product(range(mod.dim()), repeat=2):
-                    keep = mat[r][c]
-                    mat[r][c] = keep + LaurentFrac.one()
-                    assert not verify_relations(mod), (hw, i, r, c)
-                    mat[r][c] = keep
+                    with _mutated(rows, r, c, lambda v: v + LaurentFrac.one()):
+                        assert not verify_relations(mod), (hw, i, r, c)
         assert verify_relations(mod), hw
 
 
@@ -541,19 +584,18 @@ def test_verify_relations_agrees_with_the_symbolic_check_on_mutants():
     verdicts = []
     for _ in range(600):
         mod = modules[rng.choice(MODULE_FAMILY)]
-        mats = rng.choice((mod.e_mats, mod.f_mats))
-        mat = mats[rng.randint(1, mod.rank)]
-        nonzero = [(r, c) for r, row in enumerate(mat) for c, v in enumerate(row) if v]
+        side = rng.choice((mod.e_rows, mod.f_rows))
+        rows = side[rng.randint(1, mod.rank)]
+        # row-major, so the seeded draws pick the same entries as over dense matrices
+        nonzero = sorted((r, c) for r, row in rows.items() for c in row)
         if nonzero and rng.random() < 0.5:
             r, c = rng.choice(nonzero)
         else:
             r, c = rng.randrange(mod.dim()), rng.randrange(mod.dim())
-        keep = mat[r][c]
-        mat[r][c] = rng.choice(mutations)(keep)
-        want = symbolic_relations.verify_relations(mod)
-        assert verify_relations(mod) is want, (mod.hw, r, c, mat[r][c])
+        with _mutated(rows, r, c, rng.choice(mutations)) as value:
+            want = symbolic_relations.verify_relations(mod)
+            assert verify_relations(mod) is want, (mod.hw, r, c, value)
         verdicts.append(want)
-        mat[r][c] = keep
     # both verdicts are well represented
     assert verdicts.count(False) >= 200 and verdicts.count(True) >= 100
 
@@ -568,26 +610,25 @@ def test_verify_relations_agrees_with_the_symbolic_check_on_large_modules():
     mutations = _mutations()
     for hw, dim, dens, k in (((2, 1, 1), 140, 8, 29), ((1, 2, 1), 175, 7, 32)):
         mod = build_irreducible(hw)
-        mats = [m for side in (mod.e_mats, mod.f_mats) for m in side.values()]
+        sides = [rows for side in (mod.e_rows, mod.f_rows) for rows in side.values()]
         assert mod.dim() == dim, hw
-        assert len({v.den for m in mats for row in m for v in row if v} - {1}) == dens, hw
+        denominators = {v.den for s in sides for row in s.values() for v in row.values()}
+        assert len(denominators - {1}) == dens, hw
         e, f = _cleared_module(mod)
         assert uqmod._certificate(mod.weights, e, f)[2] == k, hw
         assert verify_relations(mod) and symbolic_relations.verify_relations(mod), hw
         verdicts = []
         for _ in range(20):
-            mat = rng.choice(mats)
-            nonzero = [(r, c) for r, row in enumerate(mat) for c, v in enumerate(row) if v]
+            rows = rng.choice(sides)
+            nonzero = sorted((r, c) for r, row in rows.items() for c in row)
             if rng.random() < 0.5:
                 r, c = rng.choice(nonzero)
             else:
                 r, c = rng.randrange(dim), rng.randrange(dim)
-            keep = mat[r][c]
-            mat[r][c] = rng.choice(mutations)(keep)
-            want = symbolic_relations.verify_relations(mod)
-            assert verify_relations(mod) is want, (hw, r, c, mat[r][c])
+            with _mutated(rows, r, c, rng.choice(mutations)) as value:
+                want = symbolic_relations.verify_relations(mod)
+                assert verify_relations(mod) is want, (hw, r, c, value)
             verdicts.append(want)
-            mat[r][c] = keep
         assert False in verdicts, hw
 
 
@@ -615,8 +656,8 @@ def test_one_by_one_solves_of_the_family_builds_reduce_in_q_squared(monkeypatch)
             assert x.to_record() == want.to_record(), (m, b)
 
 def _cleared_module(mod):
-    e = {i: uqmod._cleared(mod.e_mats[i]) for i in range(1, mod.rank + 1)}
-    f = {i: uqmod._cleared(mod.f_mats[i]) for i in range(1, mod.rank + 1)}
+    e = {i: uqmod._cleared(mod.e_rows[i]) for i in range(1, mod.rank + 1)}
+    f = {i: uqmod._cleared(mod.f_rows[i]) for i in range(1, mod.rank + 1)}
     return e, f
 
 
@@ -626,8 +667,11 @@ def test_verify_relations_shift_floors_at_zero():
     for hw in [(1,), (3,), (2, 1), (1, 0, 1), (1, 1, 0, 0)]:
         mod = build_irreducible(hw)
         for i in range(1, mod.rank + 1):
-            for mats, k in ((mod.e_mats, 12), (mod.f_mats, -12)):
-                mats[i] = [[v * LaurentPoly({k: 1}) for v in row] for row in mats[i]]
+            for side, k in ((mod.e_rows, 12), (mod.f_rows, -12)):
+                side[i] = {
+                    r: {c: v * LaurentPoly({k: 1}) for c, v in row.items()}
+                    for r, row in side[i].items()
+                }
         e, f = _cleared_module(mod)
         rows = [row for _, cleared, _, _ in e.values() for row in cleared.values()]
         low = min(p.min_exp() for row in rows for p in row.values())
@@ -636,7 +680,7 @@ def test_verify_relations_shift_floors_at_zero():
         assert set(shift_e.values()) == {0}, hw
         assert verify_relations(mod) and symbolic_relations.verify_relations(mod), hw
         # without the compensating F the commutator fails
-        mod.f_mats[1] = build_irreducible(hw).f_mats[1]
+        mod.f_rows[1] = build_irreducible(hw).f_rows[1]
         assert not verify_relations(mod) and not symbolic_relations.verify_relations(mod), hw
 
 
@@ -645,12 +689,11 @@ def test_verify_relations_on_zero_matrices_and_rank_one():
         mod = build_irreducible(hw)
         assert verify_relations(mod) and symbolic_relations.verify_relations(mod), hw
     zero = build_irreducible((0,))
-    assert zero.dim() == 1 and not zero.e_mats[1][0][0] and not zero.f_mats[1][0][0]
+    assert zero.dim() == 1 and zero.e_rows == zero.f_rows == {1: {}}
     for hw in [(1,), (1, 1), (2, 0, 1)]:
-        for side in ("e_mats", "f_mats"):
+        for side in ("e_rows", "f_rows"):
             mod = build_irreducible(hw)
-            mats = getattr(mod, side)
-            mats[1] = [[LaurentFrac.zero()] * mod.dim() for _ in range(mod.dim())]
+            getattr(mod, side)[1] = {}
             assert not verify_relations(mod) and not symbolic_relations.verify_relations(mod)
 
 
@@ -697,11 +740,13 @@ def test_certified_point_exceeds_every_relation_difference():
     for hw in MODULE_FAMILY:
         mod = build_irreducible(hw)
         for mutate in (False, True):
+            mutant = contextlib.nullcontext()
             if mutate:
-                mat = mod.e_mats[rng.randint(1, mod.rank)]
+                rows = mod.e_rows[rng.randint(1, mod.rank)]
                 r, c = rng.randrange(mod.dim()), rng.randrange(mod.dim())
-                mat[r][c] = rng.choice(mutations[1:7])(mat[r][c])
-            e, f = _cleared_module(mod)
+                mutant = _mutated(rows, r, c, rng.choice(mutations[1:7]))
+            with mutant:
+                e, f = _cleared_module(mod)
             shift_e, shift_f, k = uqmod._certificate(mod.weights, e, f)
             for lhs, rhs in _relation_sides(mod, e, f, shift_e, shift_f):
                 for key in lhs.keys() | rhs.keys():
@@ -728,15 +773,13 @@ def test_biadjointness_on_basis():
             for r in range(dim):
                 for c in range(dim):
                     lhs = LaurentFrac.zero()
-                    for s in range(dim):
-                        v = mod.f_mats[i][s][r]
-                        if not v.is_zero():
-                            lhs = lhs + v * pair(s, c)
+                    for s, row in mod.f_rows[i].items():
+                        if r in row:
+                            lhs = lhs + row[r] * pair(s, c)
                     rhs = LaurentFrac.zero()
-                    for s in range(dim):
-                        v = mod.e_mats[i][s][c]
-                        if not v.is_zero():
-                            rhs = rhs + v * pair(r, s)
+                    for s, row in mod.e_rows[i].items():
+                        if c in row:
+                            rhs = rhs + row[c] * pair(r, s)
                     rhs = rhs * LaurentPoly({mod.weights[r][i - 1] - 1: 1})
                     assert lhs == rhs, (hw, i, r, c)
 
@@ -747,11 +790,12 @@ def test_ef_entries_move_weight_by_a_simple_root():
         cartan = CartanA(mod.rank)
         for i in range(1, mod.rank + 1):
             alpha = tuple(cartan.entry(j, i) for j in range(1, mod.rank + 1))
-            for mats, sign in ((mod.e_mats, 1), (mod.f_mats, -1)):
-                for r, c in itertools.product(range(mod.dim()), repeat=2):
-                    if not mats[i][r][c].is_zero():
-                        step = tuple(a - b for a, b in zip(mod.weights[r], mod.weights[c]))
-                        assert step == tuple(sign * a for a in alpha), (hw, i, r, c)
+            for side, sign in ((mod.e_rows, 1), (mod.f_rows, -1)):
+                for r, row in side[i].items():
+                    for c, v in row.items():
+                        if not v.is_zero():
+                            step = tuple(a - b for a, b in zip(mod.weights[r], mod.weights[c]))
+                            assert step == tuple(sign * a for a in alpha), (hw, i, r, c)
 
 
 def test_branching_character_examples():
@@ -798,7 +842,7 @@ def test_branching_check_reads_the_e_action(monkeypatch):
     def broken(hw):
         mod = build_irreducible(hw)
         if mod.hw == (1, 1):
-            mod.e_mats[1][0][mod.basis.index((1,))] = LaurentFrac.zero()
+            mod.e_rows[1][0][mod.basis.index((1,))] = LaurentFrac.zero()
         return mod
 
     monkeypatch.setattr(uqmod, "build_irreducible", broken)
