@@ -406,35 +406,54 @@ def _cleared(mat):
     nonzero entries times D, rho the largest l1 sum of a row of those, and low the least
     exponent among them (0 if there is none).
 
-    The rows are read once, and rho and low are taken as each row is cleared, so no
-    caller walks the entries again.  A denominator 1 is told by its terms, with no
-    hash; only the others are collected.  Each lcm step multiplies D by what a
-    denominator d adds to it, d / gcd(D, d), the denominator of LaurentFrac(D, d); once
-    D is the lcm, LaurentFrac(D, d) is D / d."""
+    One walk over the entries drops the zeros and collects the denominators other than
+    1, a denominator 1 being told by its terms, with no hash.  Until another denominator
+    turns up, it also adds each entry's l1 sum to its row's and takes its least
+    exponent, both from the numerator's terms, so when none does (D = 1) that walk is
+    all.  Otherwise the rows are cleared by the lcm in a second walk, which takes rho
+    and low as it goes.  Each lcm step multiplies D by what a denominator d adds to it,
+    d / gcd(D, d), the denominator of LaurentFrac(D, d); once D is the lcm,
+    LaurentFrac(D, d) is D / d."""
     rows = {}
     dens = {}
+    rho, low = 0, None
     for r, row in mat.items():
-        # the build stores no zero, but a caller's rows may hold one
-        nonzero = {c: v for c, v in row.items() if v}
-        if nonzero:
-            rows[r] = nonzero
-            for v in nonzero.values():
-                if v.den._t != _UNIT:
-                    dens[v.den] = None
+        out = {}
+        l1 = 0
+        for c, v in row.items():
+            num = v.num
+            t = num._t
+            if not t:
+                continue  # the build stores no zero, but a caller's rows may hold one
+            out[c] = num
+            if v.den._t != _UNIT:
+                dens[v.den] = None
+            elif not dens:
+                l1 += sum(map(abs, t.values()))
+                least = min(t)
+                if low is None or least < low:
+                    low = least
+        if out:
+            rows[r] = out
+            if l1 > rho:
+                rho = l1
+    if not dens:
+        return LaurentPoly.one(), rows, rho, 0 if low is None else low
     lcm = LaurentPoly.one()
     for d in dens:
         lcm = lcm * LaurentFrac(lcm, d).den
     cofactor = {d: LaurentFrac(lcm, d).num for d in dens}
     cleared = {}
     rho, lows = 0, []
-    for r, row in rows.items():
+    for r in rows:
         out = cleared[r] = {
-            c: v.num if not dens else v.num * (lcm if v.den._t == _UNIT else cofactor[v.den])
-            for c, v in row.items()
+            c: v.num * (lcm if v.den._t == _UNIT else cofactor[v.den])
+            for c, v in mat[r].items()
+            if v
         }
         rho = max(rho, sum([p.l1_norm() for p in out.values()]))
         lows.append(min([p.min_exp() for p in out.values()]))
-    return lcm, cleared, rho, min(lows, default=0)
+    return lcm, cleared, rho, min(lows)
 
 
 def _product(a, b):
@@ -448,13 +467,20 @@ def _product(a, b):
     return out
 
 
-def _entries(*mats):
-    """The nonzero entries {(row, col): value} of a sum of sparse matrices."""
-    out = {}
-    for m in mats:
-        for r, row in m.items():
-            for c, v in row.items():
-                out[r, c] = out[r, c] + v if (r, c) in out else v
+def _flat(pairs, factor=1, diagonal=None):
+    """The nonzero entries {(row, col): int} of factor times the sum of the products
+    a b of the sparse integer matrices (a, b) in pairs, plus the diagonal {row: value}
+    if one is given.  The factor is applied to each entry of a as it is read."""
+    out = {(r, r): v for r, v in diagonal.items()} if diagonal else {}
+    for a, b in pairs:
+        for r, arow in a.items():
+            for m, v in arow.items():
+                brow = b.get(m)
+                if brow:
+                    v *= factor
+                    for c, w in brow.items():
+                        key = r, c
+                        out[key] = out[key] + v * w if key in out else v * w
     return {key: v for key, v in out.items() if v}
 
 
@@ -505,21 +531,26 @@ def verify_relations(module):
     X_i^2 X_j - [2] X_i X_j X_i + X_j X_i^2 = 0 for |i - j| = 1, for X = E and X = F.
     Returns False on the first relation that fails.
 
-    No relation is checked in Z[q, q^-1].  The sparse rows of each X are read once
-    (`_cleared`, which also gives the row sums and least exponent that `_certificate`
-    needs) and multiplied by q^s_X D_X, D_X its common denominator, and every relation
-    by the product of the q^s_X D_X of its letters, which is nonzero.  Every entry is then a polynomial in
-    Z[q], evaluated once at q = 2^k (`_certificate`), and each relation is an identity
-    of integer matrices.  2^k exceeds the l1 norm of the difference of its two sides,
-    and a nonzero integer polynomial has no root of modulus at least its l1 norm, so
-    the integer identity holds iff the polynomial one does.  The bracket q^s [wt_i] of
-    each distinct wt_i is read at 2^k in closed form, as a geometric sum
-    (`qint.quantum_integer_at`), with no quantum integer built.
-
-    The grading is checked against each column's target weight, computed once.  On
-    each side, a distant pair compares X_i X_j with X_j X_i once, and Serre forms
-    X_i X_j once per ordered pair and X_i^2 once per i, at i's first neighbour, and
-    compares X_i (X_i X_j) and X_j (X_i^2) with (X_i X_j) X_i.
+    No relation is checked in Z[q, q^-1].  The work is four stages:
+    - clear: the sparse rows of each X are read once (`_cleared`), which drops their
+      zeros and gives D_X, their common denominator, with the row sums and least
+      exponent of the cleared rows;
+    - certify: from those, `_certificate` gives the shift s_X that makes q^s_X D_X X a
+      matrix over Z[q], and the point q = 2^k;
+    - grade while evaluating: one walk over each cleared X checks that every entry's
+      column has its row's weight less alpha_j (plus alpha_j for F_j) and evaluates
+      the entry, times q^s_X, at 2^k;
+    - compare flat sides: each side of each relation, times the product of the
+      q^s_X D_X of its letters (nonzero), is summed straight into its nonzero integer
+      entries {(row, col): value} (`_flat`), and the two are compared.
+    2^k exceeds the l1 norm of the difference of the two sides, and a nonzero integer
+    polynomial has no root of modulus at least its l1 norm, so each integer identity
+    holds iff the polynomial one does.  The bracket q^s [wt_i] of each distinct wt_i is
+    read at 2^k in closed form, as a geometric sum (`qint.quantum_integer_at`), with no
+    quantum integer built, and enters its side as the diagonal.  On each side, a
+    distant pair compares X_i X_j with X_j X_i once, and Serre forms X_i X_j once per
+    ordered pair and X_i^2 once per i, at i's first neighbour, and compares
+    q (X_i (X_i X_j) + X_j (X_i^2)) with (q^2 + 1) (X_i X_j) X_i.
     """
     rank = module.rank
     weights = module.weights
@@ -527,35 +558,37 @@ def verify_relations(module):
     span = range(1, rank + 1)
     e = {i: _cleared(module.e_rows[i]) for i in span}
     f = {i: _cleared(module.f_rows[i]) for i in span}
-    for j in span:
-        alpha = [cartan.entry(i, j) for i in span]
-        for (_, rows, _, _), sign in ((e[j], 1), (f[j], -1)):
-            # the weight that a row must have for an entry in each column
-            target = [tuple([w + sign * a for w, a in zip(wt, alpha)]) for wt in weights]
-            for r, row in rows.items():
-                wt = weights[r]
-                for c in row:
-                    if wt != target[c]:
-                        return False
     shift_e, shift_f, k = _certificate(weights, e, f)
 
-    def value(rows, shift):
-        return {
-            r: {c: at_power_of_two(p, k, shift) for c, p in row.items()} for r, row in rows.items()
-        }
+    def value(rows, shift, alpha):
+        """The rows at 2^k times q^shift, or None if an entry breaks the grading: its
+        column's weight must be its row's less alpha."""
+        out = {}
+        for r, row in rows.items():
+            source = tuple([w - a for w, a in zip(weights[r], alpha)])
+            vals = out[r] = {}
+            for c, p in row.items():
+                if weights[c] != source:
+                    return None
+                vals[c] = at_power_of_two(p, k, shift)
+        return out
 
-    ev = {i: value(e[i][1], shift_e[i]) for i in span}
-    fv = {i: value(f[i][1], shift_f[i]) for i in span}
+    ev, fv = {}, {}
+    for j in span:
+        alpha = [cartan.entry(i, j) for i in span]
+        ev[j] = value(e[j][1], shift_e[j], alpha)
+        fv[j] = value(f[j][1], shift_f[j], [-a for a in alpha])
+        if ev[j] is None or fv[j] is None:
+            return False
     for i in span:
         scale = at_power_of_two(e[i][0], k) * at_power_of_two(f[i][0], k)
         shift = shift_e[i] + shift_f[i]
         bracket = {
             n: scale * quantum_integer_at(n, k, shift) for n in {wt[i - 1] for wt in weights}
         }
-        h = {r: {r: bracket[wt[i - 1]]} for r, wt in enumerate(weights)}
+        h = {r: bracket[wt[i - 1]] for r, wt in enumerate(weights)}
         for j in span:
-            ef, fe = _product(ev[i], fv[j]), _product(fv[j], ev[i])
-            if _entries(ef) != _entries(fe, h if i == j else {}):
+            if _flat([(ev[i], fv[j])]) != _flat([(fv[j], ev[i])], diagonal=h if i == j else None):
                 return False
     q = 1 << k
     for x in (ev, fv):
@@ -563,18 +596,14 @@ def verify_relations(module):
             square = None  # X_i^2, formed at i's first neighbour
             for j in span:
                 if abs(i - j) >= 2:
-                    if i < j and _entries(_product(x[i], x[j])) != _entries(_product(x[j], x[i])):
+                    if i < j and _flat([(x[i], x[j])]) != _flat([(x[j], x[i])]):
                         return False
                 elif abs(i - j) == 1:
                     if square is None:
                         square = _product(x[i], x[i])
                     # the Serre relation times q: q X_i^2 X_j + q X_j X_i^2 = (q^2 + 1) X_i X_j X_i
                     xy = _product(x[i], x[j])
-                    outer = _entries(_product(x[i], xy), _product(x[j], square))
-                    middle = _entries(_product(xy, x[i]))
-                    if {key: v * q for key, v in outer.items()} != {
-                        key: v * (q * q + 1) for key, v in middle.items()
-                    }:
+                    if _flat([(x[i], xy), (x[j], square)], q) != _flat([(xy, x[i])], q * q + 1):
                         return False
     return True
 

@@ -661,6 +661,61 @@ def _cleared_module(mod):
     return e, f
 
 
+def test_verify_relations_clears_and_certifies_through_the_pinned_functions(monkeypatch):
+    # the tests of the pinned k, the shift floor and the certified point call `_cleared`
+    # and `_certificate` directly, so they test verify only if it clears each E_i and F_i
+    # through `_cleared`, once, and evaluates at the shifts and point that `_certificate`
+    # gives on those results.  The recording certificate moves both: larger shifts and a
+    # larger point are certified too, so every verdict stands, and each bracket q^s [n]
+    # must be read at them
+    clear, certify, bracket = uqmod._cleared, uqmod._certificate, uqmod.quantum_integer_at
+    cleared, certified, brackets = [], [], []
+
+    def recording_cleared(mat):
+        out = clear(mat)
+        cleared.append((mat, out))
+        return out
+
+    def recording_certificate(weights, e, f):
+        shift_e, shift_f, k = certify(weights, e, f)
+        moved = (
+            {i: s + 1 for i, s in shift_e.items()},
+            {i: s + 2 for i, s in shift_f.items()},
+            k + 7,
+        )
+        certified.append((weights, e, f, moved))
+        return moved
+
+    def recording_bracket(n, k, shift):
+        brackets.append((k, shift))
+        return bracket(n, k, shift)
+
+    monkeypatch.setattr(uqmod, "_cleared", recording_cleared)
+    monkeypatch.setattr(uqmod, "_certificate", recording_certificate)
+    monkeypatch.setattr(uqmod, "quantum_integer_at", recording_bracket)
+    for hw in [(1, 1, 1), (1, 2, 1)]:
+        mod = build_irreducible(hw)
+        span = range(1, mod.rank + 1)
+        first = min((r, c) for r, row in mod.f_rows[2].items() for c in row)
+        mutant = _mutated(mod.f_rows[2], *first, lambda v: v * LaurentPoly({1: 1}))
+        for case, want in ((contextlib.nullcontext(), True), (mutant, False)):
+            cleared.clear(), certified.clear(), brackets.clear()
+            with case:
+                assert verify_relations(mod) is want, hw
+            sides = [mod.e_rows[i] for i in span] + [mod.f_rows[i] for i in span]
+            assert len(cleared) == len(sides) and all(
+                sum(mat is rows for mat, _ in cleared) == 1 for rows in sides
+            ), hw
+            [(weights, e, f, (shift_e, shift_f, k))] = certified
+            results = {id(mat): out for mat, out in cleared}
+            assert weights is mod.weights, hw
+            assert all(e[i] is results[id(mod.e_rows[i])] for i in span), hw
+            assert all(f[i] is results[id(mod.f_rows[i])] for i in span), hw
+            if want:
+                assert {s for _, s in brackets} == {shift_e[i] + shift_f[i] for i in span}, hw
+            assert brackets and {point for point, _ in brackets} == {k}, hw
+
+
 def test_verify_relations_shift_floors_at_zero():
     # E_i -> q^m E_i and F_i -> q^-m F_i keeps every relation, and with m large every
     # entry of E has a positive exponent, so E needs no shift
